@@ -1,0 +1,223 @@
+"""Pinned result corpus for the simulation engine.
+
+``golden/engine_corpus.json`` maps each run below to the sha256 of its
+``RunResult.to_json()``.  The corpus spans every zoo model on the five
+evaluated configurations, hetero-pim without recursive kernels and without
+the operation pipeline, both rival backends, and seeded fault specs on the
+two fixed-pool configurations.  Any change to the bytes of any of these
+results fails here.  Regenerate the map only for an intended behavioural
+change:
+
+    PYTHONPATH=src python tests/test_engine_corpus.py --write
+
+The property test at the bottom pins that the fault hooks are free: a
+fault spec with no events leaves every result field but the fault log
+unchanged.
+"""
+
+import functools
+import hashlib
+import json
+import pathlib
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.baselines import build_configuration
+from repro.baselines.configs import make_hetero_pim
+from repro.config import default_config
+from repro.faults import FaultSpec
+from repro.hardware import registry
+from repro.hardware.hmc import StackGeometry
+from repro.nn.layers import GraphBuilder
+from repro.nn.models import ALL_MODELS, build_model
+from repro.sim.simulation import Simulation
+
+CORPUS = pathlib.Path(__file__).parent / "golden" / "engine_corpus.json"
+
+STEPS = 2
+CONFIGS = ("cpu", "gpu", "prog-pim", "fixed-pim", "hetero-pim")
+ABLATIONS = ("hetero-pim-no-rc", "hetero-pim-no-op")
+FAULT_MODELS = ("vgg-19", "resnet-50", "lstm", "transformer")
+FAULT_CONFIGS = ("fixed-pim", "hetero-pim")
+#: Between them the three specs draw every fault kind; seeds 5 and 10
+#: kill hetero-pim's programmable PIM (complex phases degrade to the CPU)
+#: while a DRAM derate is live.
+FAULT_SEEDS = (2, 5, 10)
+FAULT_EVENTS = 4
+
+
+def _setup(variant):
+    """Fresh (config, policy) for one named run variant."""
+    if variant in CONFIGS:
+        return build_configuration(variant)
+    if variant == "hetero-pim-no-rc":
+        return make_hetero_pim(default_config(), recursive_kernels=False)
+    if variant == "hetero-pim-no-op":
+        return make_hetero_pim(default_config(), operation_pipeline=False)
+    return registry.build(variant)
+
+
+@functools.lru_cache(maxsize=None)
+def _graph(model):
+    return build_model(model)
+
+
+@functools.lru_cache(maxsize=None)
+def _clean(model, variant):
+    config, policy = _setup(variant)
+    return Simulation(_graph(model), policy, config=config, steps=STEPS).run()
+
+
+def _faulted(model, variant, seed):
+    config, policy = _setup(variant)
+    spec = FaultSpec.generate(
+        seed=seed,
+        horizon_s=_clean(model, variant).makespan_s,
+        n_events=FAULT_EVENTS,
+        banks=len(StackGeometry(config.stack).banks),
+        pool_units=config.fixed_pim.n_units,
+        prog_pims=config.prog_pim.n_pims,
+    )
+    return Simulation(
+        _graph(model), policy, config=config, steps=STEPS, faults=spec
+    ).run()
+
+
+def _entries():
+    """``{key: thunk}`` for every corpus run, in a fixed order."""
+    entries = {}
+    for model in ALL_MODELS:
+        for variant in CONFIGS + ABLATIONS:
+            entries[f"{model}-{variant}"] = functools.partial(
+                _clean, model, variant
+            )
+    for backend in ("gradpim", "neurotrainer"):
+        entries[f"alexnet-{backend}"] = functools.partial(
+            _clean, "alexnet", backend
+        )
+    for model in FAULT_MODELS:
+        for variant in FAULT_CONFIGS:
+            for seed in FAULT_SEEDS:
+                entries[f"{model}-{variant}-fault-seed-{seed}"] = (
+                    functools.partial(_faulted, model, variant, seed)
+                )
+    return entries
+
+
+ENTRIES = _entries()
+
+
+def _digest(result):
+    return hashlib.sha256(result.to_json().encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return json.loads(CORPUS.read_text())
+
+
+def test_corpus_covers_every_entry(corpus):
+    assert sorted(corpus) == sorted(ENTRIES)
+
+
+@pytest.mark.parametrize("key", list(ENTRIES))
+def test_pinned_digest(corpus, key):
+    assert _digest(ENTRIES[key]()) == corpus[key], (
+        f"{key}: the simulated result's bytes changed"
+    )
+
+
+@st.composite
+def small_training_graph(draw):
+    batch = draw(st.integers(min_value=1, max_value=8))
+    b = GraphBuilder("corpus-model", batch_size=batch)
+    flavor = draw(
+        st.sampled_from(("cnn", "mlp", "attention", "gnn", "embedding"))
+    )
+    if flavor == "cnn":
+        side = draw(st.sampled_from([4, 8]))
+        x = b.input((batch, side, side, draw(st.integers(1, 4))))
+        x = b.conv2d(x, draw(st.integers(1, 8)), (3, 3), name="conv0")
+        x = b.flatten(x)
+    elif flavor == "attention":
+        seq = draw(st.sampled_from([2, 4]))
+        dm = draw(st.sampled_from([4, 8]))
+        x = b.input((batch * seq, dm))
+        q = b.dense(x, dm, activation=None, name="q")
+        k = b.dense(x, dm, activation=None, name="k")
+        v = b.dense(x, dm, activation=None, name="v")
+        qh = b.reshape(q, (batch, seq, dm), name="qh")
+        kh = b.reshape(k, (batch, seq, dm), name="kh")
+        vh = b.reshape(v, (batch, seq, dm), name="vh")
+        scores = b.batch_matmul(qh, kh, transpose_b=True, name="scores")
+        weights = b.softmax(scores, name="attn")
+        weights = b.dropout(weights, name="attn_drop")
+        ctx = b.batch_matmul(weights, vh, name="ctx")
+        x = b.reshape(ctx, (batch * seq, dm), name="merge")
+        x = b.layer_norm(x, name="ln")
+    elif flavor == "gnn":
+        nodes = batch * 2
+        edges = nodes * draw(st.integers(1, 3))
+        feat = draw(st.sampled_from([2, 4]))
+        h = b.input((nodes, feat))
+        src = b.input((edges,), name="src")
+        dst = b.input((edges,), name="dst")
+        msgs = b.gather(h, src, name="gather0")
+        agg = b.segment_sum(msgs, dst, nodes, name="agg0")
+        x = b.concat([h, agg], name="combine")
+    elif flavor == "embedding":
+        ids = b.input((batch * 2,), name="ids")
+        emb = b.embedding_lookup(
+            draw(st.sampled_from([16, 64])), 4, ids, name="emb",
+            sparse_update=draw(st.booleans()),
+        )
+        x = b.reshape(emb, (batch, 8), name="pool")
+    else:
+        x = b.input((batch, draw(st.integers(2, 32))))
+    for i in range(draw(st.integers(1, 3))):
+        x = b.dense(x, draw(st.integers(2, 64)), name=f"fc{i}")
+    classes = draw(st.integers(2, 8))
+    x = b.dense(x, classes, activation=None, name="logits")
+    b.softmax_loss(x, classes)
+    return b.finish()
+
+
+def _without_fault_log(result):
+    record = json.loads(result.to_json())
+    record.pop("faults")
+    record["metrics"] = {
+        k: v for k, v in record["metrics"].items() if not k.startswith("faults.")
+    }
+    return record
+
+
+@given(
+    graph=small_training_graph(),
+    config_name=st.sampled_from(FAULT_CONFIGS),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    steps=st.integers(min_value=1, max_value=3),
+)
+@settings(max_examples=20, deadline=None)
+def test_event_free_fault_spec_changes_only_the_fault_log(
+    graph, config_name, seed, steps
+):
+    config, policy = build_configuration(config_name)
+    clean = Simulation(graph, policy, config=config, steps=steps).run()
+    spec = FaultSpec.generate(seed=seed, horizon_s=1.0, n_events=0)
+    config, policy = build_configuration(config_name)
+    hooked = Simulation(
+        graph, policy, config=config, steps=steps, faults=spec
+    ).run()
+    assert hooked.faults is not None and clean.faults is None
+    assert _without_fault_log(hooked) == _without_fault_log(clean)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_engine_corpus.py --write")
+    digests = {key: _digest(run()) for key, run in ENTRIES.items()}
+    CORPUS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(digests)} digests to {CORPUS}")
