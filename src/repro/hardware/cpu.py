@@ -3,9 +3,10 @@
 Roofline-style: an operation's time on the host is the maximum of its
 compute time (scaled by the TensorFlow kernel-efficiency factor of its op
 type) and its main-memory time (traffic divided by achieved bandwidth).
-The same model drives both the runtime's profiling step (section III-C,
-"the runtime profiles performance of all operations on CPU") and the
-CPU-only baseline configuration.
+This model drives the runtime's profiling step (section III-C, "the
+runtime profiles performance of all operations on CPU"); the simulated
+CPU lane evaluates the same roofline over all ops at once
+(:mod:`repro.sim.optable`).
 """
 
 from __future__ import annotations
@@ -65,9 +66,3 @@ class CpuModel:
         """Main-memory traffic of ``op`` — the hardware-counter quantity the
         profiling framework records (paper section II-A)."""
         return op.host_traffic_bytes
-
-    def staging_timing(self, nbytes: int, flops: int = 0) -> OpTiming:
-        """Time for a HYBRID op's complex data-staging phase on the CPU."""
-        compute_s = flops / self.config.effective_flops if flops else 0.0
-        memory_s = nbytes / self.config.mem_bandwidth if nbytes else 0.0
-        return OpTiming(compute_s=compute_s, memory_s=memory_s)

@@ -1,21 +1,21 @@
 """Discrete-GPU analytical timing model (GTX 1080 Ti baseline).
 
-Per-op roofline scaled by the per-model average utilization the paper
-measured (section V-D), plus a kernel-launch overhead per operation and the
-exposed fraction of the host-device minibatch staging traffic — the "data
-movement time ... not hidden by the computation" of Figure 8.
+Effective throughput scaled by the per-model average utilization the
+paper measured (section V-D), and the exposed fraction of the host-device
+minibatch staging traffic — the "data movement time ... not hidden by the
+computation" of Figure 8.  The per-op roofline (plus a kernel-launch
+overhead per operation) is evaluated over all ops at once by
+:mod:`repro.sim.optable`.
 """
 
 from __future__ import annotations
 
 from ..config import GPUConfig
 from ..nn.graph import Graph
-from ..nn.ops import Op
-from .cpu import OpTiming
 
 
 class GpuModel:
-    """Per-op and per-step timing on the discrete GPU."""
+    """Throughput and per-step staging time of the discrete GPU."""
 
     def __init__(self, config: GPUConfig, model_name: str = "default"):
         self.config = config
@@ -33,16 +33,6 @@ class GpuModel:
             * self._utilization
             * self.config.achieved_efficiency
         )
-
-    def op_timing(self, op: Op) -> OpTiming:
-        """Kernel time of one operation on the GPU."""
-        flops = op.cost.mac_flops + op.cost.other_flops
-        compute_s = flops / self.effective_flops if flops else 0.0
-        compute_s += self.config.kernel_launch_overhead_s
-        memory_s = (
-            op.traffic_bytes / self.config.mem_bandwidth if op.traffic_bytes else 0.0
-        )
-        return OpTiming(compute_s=compute_s, memory_s=memory_s)
 
     def exposed_transfer_s(self, graph: Graph) -> float:
         """Host->device staging time not hidden behind computation.

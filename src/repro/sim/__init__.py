@@ -1,11 +1,9 @@
 """Discrete-event, trace-driven simulator (paper section V-A).
 
-The deprecated ``repro.sim.simulate`` remains importable for backward
-compatibility but warns on use and is no longer part of the public
-``__all__`` — new code goes through :func:`repro.api.simulate`
-(model-level, returns a :class:`~repro.obs.report.RunReport`),
-:func:`repro.sim.cache.simulate_cached` (graph-level, cached), or
-``Simulation(graph, policy, config).run()`` (graph-level, direct).
+Entry points: :func:`repro.api.simulate` (model-level, returns a
+:class:`~repro.obs.report.RunReport`), :func:`repro.sim.cache.simulate_cached`
+(graph-level, cached), or ``Simulation(graph, policy, config).run()``
+(graph-level, direct).
 """
 
 from .activity import COMPUTE, DATA_MOVEMENT, SYNC, ActivityTracker, TimeBreakdown
@@ -13,7 +11,7 @@ from .devices import FixedPoolExecutor, SlotDevice
 from .engine import Engine, EventHandle
 from .policy import PLACEMENTS, SchedulingPolicy
 from .results import RESULT_SCHEMA_VERSION, RunResult, canonical_dumps
-from .simulation import Simulation, simulate  # noqa: F401 (deprecated alias)
+from .simulation import Simulation
 from .tracegen import TaskSpec, compile_kernels, generate_trace, task_uid, trace_stats
 
 __all__ = [

@@ -926,7 +926,7 @@ def simulate_cached(
 ) -> RunResult:
     """Run (or fetch) one simulation, keyed by content fingerprint.
 
-    Drop-in replacement for :func:`repro.sim.simulation.simulate` for any
+    Cached equivalent of ``Simulation(graph, policy, ...).run()`` for any
     run that does not need a live :class:`Simulation` object (timelines,
     device introspection).  ``faults`` (a FaultSpec) is part of the
     fingerprint: faulted and fault-free runs cache independently.

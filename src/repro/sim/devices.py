@@ -263,9 +263,11 @@ class FixedPoolExecutor:
         another operation holds the exclusive token).
 
         ``work`` lets callers pass a precomputed :meth:`normalized_work`
-        value (the vectorized cost table batches these up front); it must
-        equal what ``normalized_work(macs, nbytes)`` would return at
-        submission time, so it is only valid while bandwidth is unscaled.
+        value (the cost table batches these up front).  It must equal
+        what ``normalized_work(macs, nbytes)`` returns at submission time,
+        so callers pass it only while the bandwidth scale is 1.0 and
+        ``None`` otherwise, letting the executor recompute at the live
+        scale.
         """
         if not self.pipeline and self._token_holder not in (None, kernel_id):
             return False

@@ -9,22 +9,28 @@ steps then serves ``steps x ops`` scheduling decisions from O(1) lookups
 instead of re-deriving costs per task (the XLA ``ElementaryOpCache``
 pattern, applied to the whole op population at once).
 
-Bit-exactness contract: every array expression mirrors the scalar
-formulas in :mod:`repro.hardware.cpu`, :mod:`repro.hardware.gpu`,
-:mod:`repro.sim.devices` and :mod:`repro.sim.simulation` term for term —
-same association order, same zero guards (``0/x == 0.0`` for the positive
-rates involved), IEEE-754 double throughout — so a table-driven run
-produces byte-identical :class:`~repro.sim.results.RunResult`s to the
-scalar reference engine (``REPRO_ENGINE=scalar``; enforced by the
-hypothesis equivalence sweep in ``tests/test_engine_equivalence.py``).
+Every run uses the table, fault-injected runs included.  Of the injected
+faults only a DRAM derate changes a table-derived quantity: it scales the
+in-stack bandwidth, which feeds the memory term of programmable-PIM phases
+and the byte term of fixed-pool work.  Scale-at-lookup rule: table values
+are exact while the scale is 1.0 (``x / (b * 1.0) == x / b``); under any
+other scale the derate-sensitive quantity is recomputed by the scalar
+formulas below (:meth:`CostTable.prog_phase`, :meth:`CostTable.norm_work`,
+:meth:`CostTable.estimate`), which the table build also uses, so each
+formula is written once per form (array and scalar).  The array
+expressions follow the scalar ones term for term — same association order,
+same zero guards (``0/x == 0.0`` for the positive rates involved),
+IEEE-754 double throughout.  Every other fault (throttles, lost units or
+PIMs, re-selection) acts at run time on the executors and on task
+placements, never on the table, so a table is immutable once built and
+shared by clean and faulted runs alike.
 
 Scoping (cross-run-leakage fix): tables are keyed by graph identity plus
 the *full* behavioural fingerprint of the run — ``policy.signature()``
 (taken after ``prepare``) and the canonical encoding of the entire
 ``SystemConfig`` — so two runs differing only in frequency scale, PIM
-counts or any other knob can never share a table.  Fault-injected runs
-never use a table at all (faults mutate device rates mid-run); entries are
-evicted when their graph is garbage-collected.
+counts or any other knob can never share a table.  Entries are evicted
+when their graph is garbage-collected.
 """
 
 from __future__ import annotations
@@ -32,19 +38,16 @@ from __future__ import annotations
 import weakref
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..config import SystemConfig
-from ..hardware.cpu import CpuModel
+from ..errors import SchedulingError
 from ..hardware.gpu import GpuModel
 from ..nn.graph import Graph
 from ..pimcl.kernel import BinaryKind, PhaseKind
 from .cache import config_signature
 from .policy import SchedulingPolicy
 from .tracegen import compile_kernels
-
-try:  # numpy is the container's standard toolchain, but stay importable
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is always present in CI
-    _np = None
 
 #: Tables per live graph: ``{id(graph): {(policy_sig, config_sig): table}}``.
 #: The outer entry dies with the graph (weakref finalizer), so a recycled
@@ -53,7 +56,8 @@ _TABLES: Dict[int, Dict[tuple, "CostTable"]] = {}
 
 
 class CostTable:
-    """Precomputed per-op costs for one (graph, policy, config)."""
+    """Precomputed per-op costs for one (graph, policy, config), with the
+    scalar formulas that recompute them under a DRAM derate."""
 
     __slots__ = (
         "est",
@@ -65,10 +69,17 @@ class CostTable:
         "prog",
         "fixed_plan",
         "hybrid_plan",
+        "host_complex",
         "staging_s",
+        "prog_rate",
+        "prog_penalty",
+        "stack_bw",
+        "mac_rate",
+        "byte_rate",
+        "n_units",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, config: SystemConfig) -> None:
         #: ``{(place, id(op)): seconds}`` — the ``_estimate`` universe.
         self.est: Dict[Tuple[str, int], float] = {}
         #: ``{id(op): gang}`` — programmable-PIM gang sizes.
@@ -85,19 +96,74 @@ class CostTable:
         #: ``{id(op): [row, ...]}`` where a row is either
         #: ``("mac", sync_s, macs, bytes_moved, work_unit_s)`` or
         #: ``("cpx", launch_s, prog_s, cpu_operation_s, cpu_exposed_s,
-        #: bytes_moved)``.
+        #: bytes_moved, prog_flops)``.
         self.hybrid_plan: Dict[int, List[tuple]] = {}
+        #: ``{id(op): seconds}`` — the host-CPU complex term of the
+        #: ``hybrid_host`` estimate (bandwidth-independent).
+        self.host_complex: Dict[int, float] = {}
         #: GPU input-staging duration per step (None without a GPU lane).
         self.staging_s: Optional[float] = None
+        prog_cfg = config.prog_pim
+        fp = config.fixed_pim
+        #: Programmable-PIM flops/s per PIM (PLL-scaled with the stack).
+        self.prog_rate = (
+            prog_cfg.cores_per_pim
+            * config.prog_pim_frequency_hz
+            * prog_cfg.flops_per_core_cycle
+        )
+        self.prog_penalty = prog_cfg.other_flop_penalty
+        self.stack_bw = config.stack.bandwidth
+        #: Fixed-pool per-unit rates (those of ``FixedPoolExecutor``).
+        self.mac_rate = (
+            fp.simd_width * fp.macs_per_lane_cycle * config.pim_frequency_hz
+        )
+        self.byte_rate = self.stack_bw / fp.reference_units
+        self.n_units = fp.n_units
+
+    def prog_phase(self, flops: float, nbytes: int, scale: float = 1.0) -> float:
+        """Seconds of one programmable-PIM phase, with the in-stack
+        bandwidth scaled by ``scale``."""
+        compute_s = flops / self.prog_rate if flops else 0.0
+        memory_s = nbytes / (self.stack_bw * scale) if nbytes else 0.0
+        return max(compute_s, memory_s)
+
+    def norm_work(self, macs: int, nbytes: int, scale: float = 1.0) -> float:
+        """Fixed-pool work in unit-seconds (the per-unit compute/stream
+        bound), with the in-stack bandwidth scaled by ``scale``."""
+        mac_w = macs / self.mac_rate if macs else 0.0
+        byte_w = nbytes / (self.byte_rate * scale) if nbytes else 0.0
+        return max(mac_w, byte_w)
+
+    def estimate(self, place: str, op, scale: float) -> float:
+        """Duration estimate of ``op`` on ``place`` (ignoring queueing) at
+        DRAM scale ``scale``: the ``est`` entry, recomputed when the scale
+        makes it stale."""
+        oid = id(op)
+        value = self.est.get((place, oid))
+        if value is None:
+            raise SchedulingError(f"unknown placement {place!r}")
+        if scale == 1.0 or place in ("cpu", "gpu"):
+            return value
+        if place == "prog":
+            flops, gang, _, traffic = self.prog[oid]
+            return self.prog_phase(flops / gang, traffic, scale)
+        cost = op.cost
+        units = max(1, min(cost.parallelism, self.n_units))
+        fixed_s = self.norm_work(cost.macs, op.traffic_bytes, scale) / units
+        if place == "hybrid":
+            return fixed_s + self.prog_phase(
+                cost.other_flops * self.prog_penalty, op.staging_bytes, scale
+            )
+        if place == "hybrid_host":
+            return fixed_s + self.host_complex[oid]
+        return fixed_s
 
 
 def _build(
     graph: Graph, policy: SchedulingPolicy, config: SystemConfig
 ) -> CostTable:
     ops = list(graph.ops)
-    n = len(ops)
-    table = CostTable()
-    np = _np
+    table = CostTable(config)
 
     # ---- raw per-op columns (ints convert to float64 exactly: all are
     # far below 2**53) -------------------------------------------------
@@ -128,7 +194,7 @@ def _build(
     cpu_exposed = np.maximum(0.0, cpu_memory - cpu_compute)
     cpu_operation = cpu_total - cpu_exposed
 
-    # ---- GPU timing (GpuModel.op_timing) -----------------------------
+    # ---- GPU timing (roofline at the model's GPU utilization) -------
     gpu_model = GpuModel(config.gpu, graph.name)
     gpu_eff = gpu_model.effective_flops
     gpu_compute = (mac_flops + other_flops) / gpu_eff
@@ -138,13 +204,9 @@ def _build(
 
     # ---- programmable-PIM whole-kernel timing ------------------------
     prog_cfg = config.prog_pim
-    prog_rate = (
-        prog_cfg.cores_per_pim
-        * config.prog_pim_frequency_hz
-        * prog_cfg.flops_per_core_cycle
-    )
-    prog_penalty = prog_cfg.other_flop_penalty
-    stack_bw = config.stack.bandwidth
+    prog_rate = table.prog_rate
+    prog_penalty = table.prog_penalty
+    stack_bw = table.stack_bw
     prog_slots = prog_cfg.n_pims
     limit = max(1, policy.prog_gang_limit)
     gangs = [max(1, min(limit, p, prog_slots)) for p in parallelism]
@@ -156,9 +218,7 @@ def _build(
 
     # ---- fixed-pool normalized work (FixedPoolExecutor rates) --------
     fp = config.fixed_pim
-    mac_rate = fp.simd_width * fp.macs_per_lane_cycle * config.pim_frequency_hz
-    byte_rate = stack_bw / fp.reference_units
-    work = np.maximum(macs / mac_rate, traffic / byte_rate)
+    work = np.maximum(macs / table.mac_rate, traffic / table.byte_rate)
     units = np.array(
         [max(1, min(p, fp.n_units)) for p in parallelism], dtype=np.float64
     )
@@ -182,9 +242,10 @@ def _build(
     cpu_operation_l = cpu_operation.tolist()
     cpu_exposed_l = cpu_exposed.tolist()
     prog_flops_l = prog_flops.tolist()
+    host_complex_l = host_complex.tolist()
 
-    # ---- phase plans (variable-length; tiny Python loops over the same
-    # scalar formulas as Simulation._mac_dispatch_sync_s etc.) ---------
+    # ---- phase plans (variable-length; tiny Python loops over the
+    # table's scalar formulas) -----------------------------------------
     kernels = compile_kernels(graph)
     quota = int(fp.subkernel_macs)
     host_launch = fp.host_launch_overhead_s
@@ -197,22 +258,20 @@ def _build(
     cpu_full_flops = cpu_cfg.effective_flops
     cpu_bw = cpu_cfg.mem_bandwidth
 
+    norm_work = table.norm_work
+
     def mac_sync(phase_macs: int, first: bool) -> float:
+        """Launch/sync time to dispatch one MAC phase: one loadable
+        micro-kernel per ``subkernel_macs`` (section II-C's "frequent
+        operation-spawning"), each a host round trip unless the
+        recursive-kernel runtime on the programmable PIM issues it
+        in-stack; the first dispatch of any kernel is always a host
+        action (section III-B)."""
         launches = max(1, -(-int(phase_macs) // quota))
         total = launches * per_launch
         if first:
             total += host_launch - per_launch
         return max(total, 0.0)
-
-    def norm_work(phase_macs: int, nbytes: int) -> float:
-        mac_w = phase_macs / mac_rate if phase_macs else 0.0
-        byte_w = nbytes / byte_rate if nbytes else 0.0
-        return max(mac_w, byte_w)
-
-    def prog_phase(flops: float, nbytes: int) -> float:
-        compute_s = flops / prog_rate if flops else 0.0
-        memory_s = nbytes / stack_bw if nbytes else 0.0
-        return max(compute_s, memory_s)
 
     for i, op in enumerate(ops):
         oid = id(op)
@@ -230,6 +289,7 @@ def _build(
         est[("fixed", oid)] = fixed_est_l[i]
         est[("hybrid", oid)] = hybrid_est_l[i]
         est[("hybrid_host", oid)] = hybrid_host_est_l[i]
+        table.host_complex[oid] = host_complex_l[i]
 
         kernel = kernels[op.name]
         if kernel.has_binary(BinaryKind.FIXED_FULL):
@@ -262,7 +322,7 @@ def _build(
                     launch = (
                         prog_host_launch if (first or not rc) else pim_launch
                     )
-                    # CPU staging split (CpuModel.staging_timing)
+                    # host-CPU staging split (full-CPU roofline)
                     c = (
                         phase.other_flops / cpu_full_flops
                         if phase.other_flops
@@ -275,17 +335,16 @@ def _build(
                     )
                     exposed = max(0.0, m - c)
                     operation = max(c, m) - exposed
+                    flops = phase.other_flops * prog_penalty
                     rows.append(
                         (
                             "cpx",
                             launch,
-                            prog_phase(
-                                phase.other_flops * prog_penalty,
-                                phase.bytes_moved,
-                            ),
+                            table.prog_phase(flops, phase.bytes_moved),
                             operation,
                             exposed,
                             phase.bytes_moved,
+                            flops,
                         )
                     )
             table.hybrid_plan[oid] = rows
@@ -297,11 +356,8 @@ def _build(
 
 def cost_table(
     graph: Graph, policy: SchedulingPolicy, config: SystemConfig
-) -> Optional[CostTable]:
-    """Memoized table for (graph, prepared policy, config); None if numpy
-    is unavailable (callers then run the scalar reference engine)."""
-    if _np is None:
-        return None
+) -> CostTable:
+    """Memoized table for (graph, prepared policy, config)."""
     gid = id(graph)
     per_graph = _TABLES.get(gid)
     if per_graph is None:

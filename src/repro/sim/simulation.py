@@ -6,26 +6,26 @@ The :class:`Simulation` executes a generated operation trace
 the paper's evaluation reports: per-step time with its
 sync/data-movement/operation breakdown (Fig 8/11), device usage and energy
 (Fig 9/14/17), and fixed-function-PIM utilization (Fig 15).
+
+Every per-op cost comes from the run's :class:`~repro.sim.optable.CostTable`,
+fault-injected runs included; a live DRAM derate is applied at lookup
+time (see :mod:`repro.sim.optable`).
 """
 
 from __future__ import annotations
 
 import gc
-import os
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..config import SystemConfig, default_config
-from ..errors import SchedulingError, SimulationError
-from ..hardware.cpu import CpuModel
+from ..errors import SimulationError
 from ..hardware.fixed_pim import FixedPIMPool
-from ..hardware.gpu import GpuModel
 from ..hardware.power import DeviceUsage, EnergyModel
 from ..nn.graph import Graph
 from ..obs.metrics import MetricsRegistry
-from ..pimcl.kernel import BinaryKind, PhaseKind
 from .activity import COMPUTE, DATA_MOVEMENT, SYNC, ActivityTracker
 from .devices import FixedPoolExecutor, SlotDevice
 from .engine import Engine
@@ -36,11 +36,6 @@ from .timeline import Timeline, TimelineEntry
 from .tracegen import TaskSpec, generate_trace
 
 _STAGING_PREFIX = "__staging__"
-
-#: ``REPRO_ENGINE=scalar`` forces the original per-object scalar hot path
-#: (the oracle of the vectorized-engine equivalence sweep); any other
-#: value (or unset) uses the vectorized cost table on fault-free runs.
-_ENV_ENGINE = "REPRO_ENGINE"
 
 _SORT_KEY = attrgetter("sort_key")
 
@@ -89,7 +84,14 @@ class _Task:
 
 
 class Simulation:
-    """One simulated run of ``graph`` under ``policy``."""
+    """One simulated run of ``graph`` under ``policy``.
+
+    Per-op costs come from the shared cost table of (graph, prepared
+    policy, config), clean and faulted runs alike.  ``faults`` (a
+    :class:`~repro.faults.FaultSpec`) injects capacity changes that the
+    run reacts to as they happen; a DRAM derate among them is applied
+    at cost lookup (see :mod:`repro.sim.optable`).
+    """
 
     def __init__(
         self,
@@ -125,63 +127,33 @@ class Simulation:
 
         self.engine = Engine()
         self.tracker = ActivityTracker()
-        self.cpu_model = CpuModel(self.config.cpu)
-        self.gpu_model = GpuModel(self.config.gpu, graph.name)
 
         self.cpu = SlotDevice(self.engine, "cpu", policy.cpu_slots)
         self.gpu = SlotDevice(self.engine, "gpu", 1)
         self.prog = SlotDevice(self.engine, "prog", self.config.prog_pim.n_pims)
         pool = FixedPIMPool(self.config.fixed_pim.n_units)
-        fp = self.config.fixed_pim
+        #: Per-op costs, shared with every run of the same (graph,
+        #: policy, config) and never mutated by this one.
+        self._table = table = cost_table(graph, policy, self.config)
         self.fixed = FixedPoolExecutor(
             engine=self.engine,
             pool=pool,
-            mac_rate_per_unit=fp.simd_width
-            * fp.macs_per_lane_cycle
-            * self.config.pim_frequency_hz,
-            byte_rate_per_unit=self.config.stack.bandwidth / fp.reference_units,
+            mac_rate_per_unit=table.mac_rate,
+            byte_rate_per_unit=table.byte_rate,
             pipeline=policy.operation_pipeline,
             on_units_freed=self._units_freed,
         )
-        # programmable-PIM effective rates (PLL-scaled with the stack)
-        prog_cfg = self.config.prog_pim
-        self._prog_flops_per_pim = (
-            prog_cfg.cores_per_pim
-            * self.config.prog_pim_frequency_hz
-            * prog_cfg.flops_per_core_cycle
-        )
-        self._prog_other_penalty = prog_cfg.other_flop_penalty
 
         self.usage = DeviceUsage()
         self._tasks: Dict[str, _Task] = {}
         self._ready: List[_Task] = []
-        #: Vectorized per-op cost table (see :mod:`repro.sim.optable`):
-        #: used only on fault-free runs (faults derate device rates
-        #: mid-run, invalidating precomputed costs) and disabled by
-        #: ``REPRO_ENGINE=scalar``, which keeps the original scalar code
-        #: paths alive as the equivalence oracle.
-        self._table = (
-            cost_table(graph, policy, self.config)
-            if (
-                faults is None
-                and os.environ.get(_ENV_ENGINE, "").lower() != "scalar"
-            )
-            else None
-        )
-        #: Memoized placement-duration estimates: every quantity feeding
-        #: ``_estimate`` (device rates, slot counts, op costs) is constant
-        #: for the lifetime of one simulation, so estimates are keyed by
-        #: (placement, op identity).  Ops live as long as the graph does,
-        #: so the id cannot be reused while the entry is reachable.  With a
-        #: cost table the cache starts fully populated (a per-run copy:
-        #: the shared table stays immutable).
-        self._estimate_cache: Dict[Tuple[str, int], float] = (
-            dict(self._table.est) if self._table is not None else {}
-        )
+        #: Memoized placement-duration estimates, keyed by (placement, op
+        #: identity) and filled on first query: a run's estimate of an op
+        #: stays what it was then, even if a DRAM derate changes the
+        #: bandwidth later.  Ops live as long as the graph does, so the id
+        #: cannot be reused while the entry is reachable.
+        self._estimate_cache: Dict[Tuple[str, int], float] = {}
         self._fallback_cache: Dict[Tuple[int, str, str], bool] = {}
-        self._gang_cache: Dict[int, int] = (
-            dict(self._table.gang) if self._table is not None else {}
-        )
         self._min_step = 0
         self._step_remaining: Dict[int, int] = {}
         self._step_end: Dict[int, float] = {}
@@ -217,7 +189,7 @@ class Simulation:
         }
         self._tasks_started: Dict[str, int] = {}
         self._queue_wait: Dict[str, float] = {}
-        #: Fault-injection state (None on the fault-free fast path).
+        #: Fault-injection state (None on fault-free runs).
         self.faults = faults
         self._injector = None
         self._registers = None
@@ -239,13 +211,9 @@ class Simulation:
         specs = generate_trace(self.graph, self.steps)
         table = self._table
         for spec in specs:
-            if table is not None:
-                oid = id(spec.op)
-                priority = table.priority[oid]
-                places = table.places[oid]
-            else:
-                priority = self.policy.priority(spec.op)
-                places = self.policy.placements(spec.op)
+            oid = id(spec.op)
+            priority = table.priority[oid]
+            places = table.places[oid]
             self._tasks[spec.uid] = _Task(
                 uid=spec.uid,
                 step=spec.step,
@@ -400,7 +368,7 @@ class Simulation:
         # the ready list into per-placement heaps; a release marks the
         # placement freed, and the scan below merges the *best* parked
         # task of each freed placement with the sorted ready batch instead
-        # of re-testing every waiter.  Scalar semantics are preserved: the
+        # of re-testing every waiter.  Single-pass semantics are kept: the
         # merge visits candidates in exactly the ready-list sort order, a
         # parked task skipped this round would have failed anyway (its
         # placements stayed exhausted), and the position check below keeps
@@ -478,7 +446,7 @@ class Simulation:
                     if freed:
                         # a zero-duration activity chain inside the start
                         # released capacity synchronously: later candidates
-                        # may use it this round, exactly as in the scalar
+                        # may use it this round, exactly as in a plain
                         # single-pass drain
                         for p in freed:
                             blocked.discard(p)
@@ -594,46 +562,16 @@ class Simulation:
     def _estimate(self, place: str, op) -> float:
         """Rough duration estimate of ``op`` on ``place`` (ignoring queueing).
 
-        Memoized per (place, op): the estimate deliberately ignores live
-        queue state, so it is invariant over one simulation.
+        Memoized per (place, op) at the first query: the estimate
+        deliberately ignores live queue state, and the DRAM scale is
+        the one live at that query.
         """
         key = (place, id(op))
         cached = self._estimate_cache.get(key)
         if cached is None:
-            cached = self._estimate_uncached(place, op)
+            cached = self._table.estimate(place, op, self._dram_scale)
             self._estimate_cache[key] = cached
         return cached
-
-    def _estimate_uncached(self, place: str, op) -> float:
-        if place == "cpu":
-            fraction = 1.0 / self.policy.cpu_slots
-            return self.cpu_model.op_timing(op, cores_fraction=fraction).total_s
-        if place == "gpu":
-            return self.gpu_model.op_timing(op).total_s
-        if place == "prog":
-            flops = (
-                op.cost.mac_flops
-                + op.cost.other_flops * self._prog_other_penalty
-            )
-            gang = self._prog_gang_size(op)
-            return self._prog_phase_duration(flops / gang, op.traffic_bytes)
-        if place in ("fixed", "hybrid", "hybrid_host"):
-            units = min(op.cost.parallelism, self.fixed.pool.n_units)
-            mac_s = self.fixed.normalized_work(
-                op.cost.macs, op.traffic_bytes
-            ) / max(1, units)
-            complex_s = 0.0
-            if place == "hybrid":
-                complex_s = self._prog_phase_duration(
-                    op.cost.other_flops * self._prog_other_penalty,
-                    op.staging_bytes,
-                )
-            elif place == "hybrid_host":
-                complex_s = self.cpu_model.staging_timing(
-                    op.staging_bytes, op.cost.other_flops
-                ).total_s
-            return mac_s + complex_s
-        raise SchedulingError(f"unknown placement {place!r}")
 
     def _fallback_allowed(self, op, place: str, preferred: str) -> bool:
         """Principle 2, profile-aware: spill to a secondary placement only
@@ -704,7 +642,7 @@ class Simulation:
                     continue
                 free = self.prog.free_slots
                 if free > 0:
-                    gang = min(self._prog_gang_size(op), free)
+                    gang = min(self._table.gang[id(op)], free)
                     if self.prog.try_acquire(gang):
                         self._mark_started(task, "prog")
                         self._start_prog(task, gang)
@@ -788,24 +726,14 @@ class Simulation:
     # execution recipes
     # ------------------------------------------------------------------
     def _start_staging(self, task: _Task) -> None:
-        table = self._table
-        if table is not None and table.staging_s is not None:
-            duration = table.staging_s
-        else:
-            duration = self.gpu_model.exposed_transfer_s(self.graph)
         self.usage.external_bytes += self.graph.input_bytes
-        self._timed(DATA_MOVEMENT, duration, lambda: self._finish(task))
+        self._timed(
+            DATA_MOVEMENT, self._table.staging_s, lambda: self._finish(task)
+        )
 
     def _start_cpu(self, task: _Task) -> None:
         op = task.spec.op
-        table = self._table
-        if table is not None:
-            operation_s, exposed_s = table.cpu[id(op)]
-        else:
-            fraction = 1.0 / self.policy.cpu_slots
-            timing = self.cpu_model.op_timing(op, cores_fraction=fraction)
-            operation_s = timing.operation_s
-            exposed_s = timing.exposed_memory_s
+        operation_s, exposed_s = self._table.cpu[id(op)]
         self.usage.external_bytes += op.host_traffic_bytes
 
         def _after_compute() -> None:
@@ -819,11 +747,7 @@ class Simulation:
 
     def _start_gpu(self, task: _Task) -> None:
         op = task.spec.op
-        table = self._table
-        if table is not None:
-            total_s = table.gpu_total[id(op)]
-        else:
-            total_s = self.gpu_model.op_timing(op).total_s
+        total_s = self._table.gpu_total[id(op)]
         self.usage.gpu_bytes += op.traffic_bytes
 
         def _done() -> None:
@@ -833,27 +757,6 @@ class Simulation:
 
         self._timed(COMPUTE, total_s, _done)
 
-    def _prog_phase_duration(self, flops: float, nbytes: float) -> float:
-        compute_s = flops / self._prog_flops_per_pim if flops else 0.0
-        # _dram_scale stays exactly 1.0 without fault injection, keeping
-        # the fault-free division bit-identical (x / (b * 1.0) == x / b)
-        memory_s = (
-            nbytes / (self.config.stack.bandwidth * self._dram_scale)
-            if nbytes
-            else 0.0
-        )
-        return max(compute_s, memory_s)
-
-    def _prog_gang_size(self, op) -> int:
-        """PIMs a whole-kernel prog execution may gang (>= 1); memoized —
-        every input (gang limit, parallelism, slot count) is static."""
-        gang = self._gang_cache.get(id(op))
-        if gang is None:
-            limit = max(1, self.policy.prog_gang_limit)
-            gang = max(1, min(limit, op.cost.parallelism, self.prog.slots))
-            self._gang_cache[id(op)] = gang
-        return gang
-
     def _start_prog(self, task: _Task, gang: int = 1) -> None:
         """Whole kernel on ``gang`` programmable PIM(s) (binary #4).
 
@@ -862,20 +765,12 @@ class Simulation:
         section VI); the heterogeneous system uses a single PIM.
         """
         op = task.spec.op
-        table = self._table
-        if table is not None:
-            flops, full_gang, full_duration, traffic = table.prog[id(op)]
-            duration = (
-                full_duration
-                if gang == full_gang
-                else self._prog_phase_duration(flops / gang, traffic)
-            )
+        flops, full_gang, full_duration, traffic = self._table.prog[id(op)]
+        scale = self._dram_scale
+        if gang == full_gang and scale == 1.0:
+            duration = full_duration
         else:
-            flops = (
-                op.cost.mac_flops
-                + op.cost.other_flops * self._prog_other_penalty
-            )
-            duration = self._prog_phase_duration(flops / gang, op.traffic_bytes)
+            duration = self._table.prog_phase(flops / gang, traffic, scale)
         self.usage.internal_bytes += op.traffic_bytes
 
         def _after_launch() -> None:
@@ -899,34 +794,6 @@ class Simulation:
                 waiters.insert(0, (attempt, on_dead))
                 break
 
-    def _fixed_launch_overhead(self) -> float:
-        """Launch/sync cost per fixed-function sub-kernel dispatch.
-
-        With recursive kernels the programmable-PIM runtime drives
-        launches in-stack; without them every dispatch is a host round
-        trip (paper section III-B).
-        """
-        if self.policy.recursive_kernels:
-            return self.config.fixed_pim.pim_launch_overhead_s
-        return self.config.fixed_pim.host_launch_overhead_s
-
-    def _mac_dispatch_sync_s(self, macs: int, first: bool) -> float:
-        """Total launch/sync time to dispatch one MAC phase.
-
-        The phase consists of ``macs / subkernel_macs`` loadable
-        micro-kernels (section II-C's "frequent operation-spawning"); each
-        dispatch costs a host round trip, unless the recursive-kernel
-        runtime on the programmable PIM issues them in-stack.
-        """
-        quota = self.config.fixed_pim.subkernel_macs
-        launches = max(1, -(-int(macs) // int(quota)))
-        per_launch = self._fixed_launch_overhead()
-        total = launches * per_launch
-        if first:
-            # the first dispatch of any kernel is always a host action
-            total += self.config.fixed_pim.host_launch_overhead_s - per_launch
-        return max(total, 0.0)
-
     def _submit_mac(
         self,
         task: _Task,
@@ -943,7 +810,10 @@ class Simulation:
         Under fault injection the submission carries an abort hook: a
         revoked sub-kernel is retried with capped exponential backoff and
         the operation degrades (prog PIM, then CPU) when the pool dies or
-        the retry budget runs out.
+        the retry budget runs out.  ``work`` is the table's normalized
+        work, valid only at DRAM scale 1.0; each attempt checks the scale
+        it submits under (a retry can straddle a derate) and otherwise
+        lets the executor recompute.
         """
         uid = task.uid
 
@@ -960,7 +830,7 @@ class Simulation:
         def attempt() -> bool:
             started = self.fixed.try_submit(
                 uid, macs, nbytes, want, wrapped_done, on_abort=on_abort,
-                work=work,
+                work=work if self._dram_scale == 1.0 else None,
             )
             if started:
                 self.tracker.begin(COMPUTE, self.engine.now)
@@ -1101,58 +971,29 @@ class Simulation:
     def _start_fixed(self, task: _Task) -> None:
         """FIXED-class op: host-coordinated MAC chunks on the pool."""
         op = task.spec.op
-        table = self._table
-        if table is not None:
-            rows = table.fixed_plan[id(op)]
-            want = op.cost.parallelism
-            n = len(rows)
-            self.usage.internal_bytes += op.traffic_bytes
-            self.fixed.window_enter()
-
-            def next_row(i: int) -> None:
-                if i >= n:
-                    self.fixed.drop_token(task.uid)
-                    self.fixed.window_exit()
-                    self._finish(task)
-                    return
-                sync_s, macs, nbytes, work = rows[i]
-
-                def row_launched() -> None:
-                    self._submit_mac(
-                        task, macs, nbytes, want,
-                        lambda: next_row(i + 1), work=work,
-                    )
-
-                self._timed(SYNC, sync_s, row_launched)
-
-            next_row(0)
-            return
-        plan = task.spec.kernel.binary(BinaryKind.FIXED_FULL).plan
-        phases = list(plan)
+        rows = self._table.fixed_plan[id(op)]
+        want = op.cost.parallelism
+        n = len(rows)
         self.usage.internal_bytes += op.traffic_bytes
         self.fixed.window_enter()
 
-        def next_phase(i: int) -> None:
-            if i >= len(phases):
+        def next_row(i: int) -> None:
+            if i >= n:
                 self.fixed.drop_token(task.uid)
                 self.fixed.window_exit()
                 self._finish(task)
                 return
-            phase = phases[i]
-            this_launch = self._mac_dispatch_sync_s(phase.macs, first=(i == 0))
+            sync_s, macs, nbytes, work = rows[i]
 
-            def after_launch() -> None:
+            def row_launched() -> None:
                 self._submit_mac(
-                    task,
-                    phase.macs,
-                    phase.bytes_moved,
-                    op.cost.parallelism,
-                    lambda: next_phase(i + 1),
+                    task, macs, nbytes, want,
+                    lambda: next_row(i + 1), work=work,
                 )
 
-            self._timed(SYNC, this_launch, after_launch)
+            self._timed(SYNC, sync_s, row_launched)
 
-        next_phase(0)
+        next_row(0)
 
     def _start_hybrid(self, task: _Task, complex_on: str) -> None:
         """HYBRID op as a recursive PIM kernel (Figure 6).
@@ -1163,60 +1004,11 @@ class Simulation:
         executor slot for their own duration only; the orchestration of
         MAC sub-kernels does not occupy a compute slot (the PIM-side
         runtime is an event loop, able to manage many in-flight recursive
-        kernels — section IV-C).
+        kernels — section IV-C).  Each phase first pays its launch cost:
+        MAC phases one micro-kernel dispatch per sub-kernel quota, complex
+        phases one dispatch; the first (and, without recursive kernels,
+        every) dispatch is a host round trip.
         """
-        op = task.spec.op
-        if self._table is not None:
-            self._start_hybrid_fast(task, complex_on)
-            return
-        plan = task.spec.kernel.binary(BinaryKind.PROG).plan
-        phases = list(plan)
-        rc = self.policy.recursive_kernels
-        self.fixed.window_enter()
-
-        def next_phase(i: int, first: bool) -> None:
-            if i >= len(phases):
-                self.fixed.drop_token(task.uid)
-                self.fixed.window_exit()
-                self._finish(task)
-                return
-            phase = phases[i]
-            # launch cost: MAC phases dispatch one micro-kernel per
-            # sub-kernel quota; complex phases are one dispatch. The first
-            # dispatch (and, without RC, every one) is a host round trip.
-            if phase.kind is PhaseKind.MAC:
-                launch = self._mac_dispatch_sync_s(phase.macs, first=first)
-            elif first or not rc:
-                launch = self.config.prog_pim.host_launch_overhead_s
-            else:
-                launch = self.config.fixed_pim.pim_launch_overhead_s
-
-            def after_launch() -> None:
-                if phase.kind is PhaseKind.COMPLEX:
-                    self._run_complex_phase(
-                        phase,
-                        complex_on,
-                        lambda: next_phase(i + 1, False),
-                        uid=task.uid,
-                    )
-                else:
-                    self.usage.internal_bytes += phase.bytes_moved
-                    self._submit_mac(
-                        task,
-                        phase.macs,
-                        phase.bytes_moved,
-                        op.cost.parallelism,
-                        lambda: next_phase(i + 1, False),
-                    )
-
-            self._timed(SYNC, launch, after_launch)
-
-        next_phase(0, True)
-
-    def _start_hybrid_fast(self, task: _Task, complex_on: str) -> None:
-        """Table-driven :meth:`_start_hybrid`: phase launch/duration costs
-        come precomputed from the cost table (same continuation structure,
-        so the event stream — and every metric — is identical)."""
         op = task.spec.op
         rows = self._table.hybrid_plan[id(op)]
         want = op.cost.parallelism
@@ -1233,8 +1025,8 @@ class Simulation:
 
             def row_launched() -> None:
                 if row[0] == "cpx":
-                    self._run_complex_fast(
-                        row, complex_on, lambda: next_row(i + 1)
+                    self._run_complex_phase(
+                        task.uid, row, complex_on, lambda: next_row(i + 1)
                     )
                 else:
                     self.usage.internal_bytes += row[3]
@@ -1247,14 +1039,34 @@ class Simulation:
 
         next_row(0)
 
-    def _run_complex_fast(
-        self, row: tuple, complex_on: str, then: Callable[[], None]
+    def _run_complex_phase(
+        self, uid: str, row: tuple, complex_on: str, then: Callable[[], None]
     ) -> None:
-        """One precomputed COMPLEX phase (fault-free: the programmable PIM
-        can never be dead here, so no degradation hooks are attached)."""
-        nbytes = row[5]
+        """Execute one COMPLEX phase (a ``cpx`` plan row) on its device,
+        waiting for a slot.
+
+        Under fault injection a complex phase targeting a dead (or dying)
+        programmable PIM degrades to the host CPU instead of stranding the
+        recursive kernel.
+        """
+        _, _, prog_s, operation_s, exposed_s, nbytes, flops = row
         if complex_on == "prog":
-            duration = row[2]
+            def fall_back_to_cpu() -> None:
+                if self._injector is not None:
+                    self._injector.log_degradation(
+                        self.engine.now, uid, "prog", "cpu"
+                    )
+                self._run_complex_phase(uid, row, "cpu", then)
+
+            if self.prog.effective_slots == 0:
+                fall_back_to_cpu()
+                return
+            scale = self._dram_scale
+            duration = (
+                prog_s
+                if scale == 1.0
+                else self._table.prog_phase(flops, nbytes, scale)
+            )
 
             def run_on_prog() -> None:
                 self.usage.internal_bytes += nbytes
@@ -1265,10 +1077,8 @@ class Simulation:
 
                 self._timed(COMPUTE, duration, done)
 
-            self._acquire_slot(self.prog, run_on_prog)
+            self._acquire_slot(self.prog, run_on_prog, on_dead=fall_back_to_cpu)
             return
-        operation_s = row[3]
-        exposed_s = row[4]
         self.usage.external_bytes += nbytes
 
         def run_on_cpu() -> None:
@@ -1280,63 +1090,6 @@ class Simulation:
                 self._timed(DATA_MOVEMENT, exposed_s, done)
 
             self._timed(COMPUTE, operation_s, _after_compute)
-
-        self._acquire_slot(self.cpu, run_on_cpu)
-
-    def _run_complex_phase(
-        self,
-        phase,
-        complex_on: str,
-        then: Callable[[], None],
-        uid: Optional[str] = None,
-    ) -> None:
-        """Execute one COMPLEX phase on its device, waiting for a slot.
-
-        Under fault injection a complex phase targeting a dead (or dying)
-        programmable PIM degrades to the host CPU instead of stranding the
-        recursive kernel.
-        """
-        if complex_on == "prog":
-            def fall_back_to_cpu() -> None:
-                if self._injector is not None and uid is not None:
-                    self._injector.log_degradation(
-                        self.engine.now, uid, "prog", "cpu"
-                    )
-                self._complex_on_cpu(phase, then)
-
-            if self.prog.effective_slots == 0:
-                fall_back_to_cpu()
-                return
-            duration = self._prog_phase_duration(
-                phase.other_flops * self._prog_other_penalty, phase.bytes_moved
-            )
-
-            def run_on_prog() -> None:
-                self.usage.internal_bytes += phase.bytes_moved
-
-                def done() -> None:
-                    self._release_slot(self.prog)
-                    then()
-
-                self._timed(COMPUTE, duration, done)
-
-            self._acquire_slot(self.prog, run_on_prog, on_dead=fall_back_to_cpu)
-            return
-        self._complex_on_cpu(phase, then)
-
-    def _complex_on_cpu(self, phase, then: Callable[[], None]) -> None:
-        timing = self.cpu_model.staging_timing(phase.bytes_moved, phase.other_flops)
-        self.usage.external_bytes += phase.bytes_moved
-
-        def run_on_cpu() -> None:
-            def _after_compute() -> None:
-                def done() -> None:
-                    self._release_slot(self.cpu)
-                    then()
-
-                self._timed(DATA_MOVEMENT, timing.exposed_memory_s, done)
-
-            self._timed(COMPUTE, timing.operation_s, _after_compute)
 
         self._acquire_slot(self.cpu, run_on_cpu)
 
@@ -1470,27 +1223,3 @@ class Simulation:
                 result[model] = ends[0]
         return result
 
-
-def simulate(
-    graph: Graph,
-    policy: SchedulingPolicy,
-    config: Optional[SystemConfig] = None,
-    steps: Optional[int] = None,
-) -> RunResult:
-    """Deprecated convenience wrapper: build and run one simulation.
-
-    Prefer :func:`repro.api.simulate` (model-level facade, returns a
-    :class:`~repro.obs.report.RunReport`) or
-    :func:`repro.sim.cache.simulate_cached` (graph-level, content-addressed
-    cache).  Kept for backward compatibility.
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.sim.simulation.simulate is deprecated; use "
-        "repro.api.simulate (model-level) or "
-        "repro.sim.cache.simulate_cached (graph-level) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return Simulation(graph, policy, config=config, steps=steps).run()

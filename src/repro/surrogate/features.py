@@ -38,7 +38,6 @@ from ..hardware.power import DeviceUsage, EnergyModel
 from ..nn.graph import Graph
 from ..sim.optable import cost_table
 from ..sim.policy import SchedulingPolicy
-from .errors import SurrogateUnavailable
 
 #: Canonical lane of each placement token: hybrid kernels contend on the
 #: fixed-function pool (same map as the engine's parking lanes).
@@ -159,17 +158,8 @@ def featurize(
     system: SystemConfig,
     faults=None,
 ) -> FeatureBundle:
-    """Featurize one run (policy must be prepared).
-
-    Raises :class:`SurrogateUnavailable` when the vectorized cost table
-    cannot be built (numpy missing) — the surrogate is a feature of the
-    vectorized engine.
-    """
+    """Featurize one run (policy must be prepared)."""
     table = cost_table(graph, policy, system)
-    if table is None:
-        raise SurrogateUnavailable(
-            "cost surrogate needs numpy (vectorized engine) to featurize runs"
-        )
 
     ops = list(graph.ops)
     slots = max(1, policy.cpu_slots)

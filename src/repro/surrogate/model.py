@@ -37,15 +37,12 @@ import tempfile
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..sim import cache as sim_cache
 from ..sim.results import canonical_dumps
 from .errors import SurrogateUnavailable
 from .features import FEATURE_NAMES, FeatureBundle
-
-try:  # same guard as the vectorized engine: stay importable without numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is baked into the image
-    _np = None
 
 #: Model-file schema; bump on shape changes (loaders reject unknown).
 MODEL_SCHEMA = 1
@@ -208,14 +205,11 @@ def fit(
     value (from a cached exact :class:`~repro.sim.results.RunResult`).
     Raises :class:`SurrogateUnavailable` on an unusable training set.
     """
-    if _np is None:
-        raise SurrogateUnavailable("cost surrogate needs numpy to train")
     if len(rows) < 4:
         raise SurrogateUnavailable(
             f"not enough cached simulation results to train a surrogate "
             f"({len(rows)} rows; need at least 4)"
         )
-    np = _np
     X = np.array([list(b.features) for b, _t in rows], dtype=np.float64)
     n, d = X.shape
     if d != len(FEATURE_NAMES):
@@ -285,7 +279,6 @@ def _group_means(y, labels) -> Dict[str, float]:
 def _fit_head(A, y, keys, fams) -> Dict[str, object]:
     """One head: per-key friction means + ridge over the residual, with
     tiered leave-one-out bands."""
-    np = _np
     n, p = A.shape
 
     key_corr = _group_means(y, keys)

@@ -80,7 +80,6 @@ class TestBackendKeying:
         assert cost_table(graph, policy, config) is not other
 
     def test_backend_tag_splits_the_surrogate_key(self):
-        pytest.importorskip("numpy")
         from repro.surrogate.features import featurize
 
         graph, policy, config = _prepared()
@@ -143,17 +142,25 @@ class TestNoCrossRunLeakage:
         assert after.to_json() == before.to_json()
 
     def test_faulted_run_does_not_contaminate_the_clean_one(self):
+        """Clean, faulted and clean again on one graph, policy and config:
+        all three share one cost table, and the faulted run (a DRAM
+        derate among its events) must leave it untouched."""
         graph, policy, config = _prepared("fixed-pim")
+        table = cost_table(graph, policy, config)
         clean = Simulation(graph, policy, config=config, steps=1).run()
         spec = FaultSpec.generate(
-            seed=3,
-            horizon_s=0.05,
-            n_events=2,
+            seed=2,
+            horizon_s=clean.makespan_s,
+            n_events=4,
             pool_units=config.fixed_pim.n_units,
             prog_pims=config.prog_pim.n_pims,
         )
-        g2, p2, c2 = _prepared("fixed-pim")
-        Simulation(g2, p2, config=c2, steps=1, faults=spec).run()
-        g3, p3, c3 = _prepared("fixed-pim")
-        again = Simulation(g3, p3, config=c3, steps=1).run()
+        assert "dram-derate" in {event.kind for event in spec.events}
+        faulted = Simulation(
+            graph, policy, config=config, steps=1, faults=spec
+        ).run()
+        assert faulted.faults["counts"]["events"] >= 4
+        assert cost_table(graph, policy, config) is table
+        again = Simulation(graph, policy, config=config, steps=1).run()
+        assert cost_table(graph, policy, config) is table
         assert again.to_json() == clean.to_json()

@@ -347,16 +347,6 @@ class TestApiFacade:
         assert repro.simulate is api.simulate
         assert repro.RunReport is RunReport
 
-    def test_old_entry_point_warns(self):
-        from repro.baselines import build_configuration
-        from repro.nn.models import build_model
-        from repro.sim import simulate as old_simulate
-
-        config, policy = build_configuration("cpu")
-        graph = build_model(MODEL)
-        with pytest.warns(DeprecationWarning):
-            old_simulate(graph, policy, config)
-
     def test_observed_run_warms_cache(self):
         api.simulate(MODEL, "hetero-pim", observe=True)
         report = api.simulate(MODEL, "hetero-pim")
