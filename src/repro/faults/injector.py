@@ -16,10 +16,15 @@ It also owns the run's fault/recovery log (injected events, retries,
 degradations, offload re-selections), which lands on the result record
 (``RunResult.faults``) and in the Chrome trace's fault lane — and the
 idle/busy register file the scheduler consults while faults are active.
+
+The simulation holds its injector, so the injector keeps no reference to
+the simulation: each scheduled event carries it as an argument instead,
+and a finished run leaves no reference cycle behind.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List
 
 from ..hardware.hmc import StackGeometry
@@ -61,7 +66,6 @@ class FaultInjector:
 
     def __init__(self, spec: FaultSpec, sim):
         self.spec = spec
-        self.sim = sim
         self.events_log: List[Dict[str, object]] = []
         self.retries: List[Dict[str, object]] = []
         self.degradations: List[Dict[str, object]] = []
@@ -78,27 +82,25 @@ class FaultInjector:
             sim.fixed.pool, _ProgClusterView(sim.prog), self.placement
         )
         for index, event in enumerate(spec.events):
-            sim.engine.at(
-                event.time_s,
-                lambda i=index, e=event: self._apply(i, e),
-            )
+            sim.engine.at(event.time_s, partial(self._apply, sim, index, event))
 
     # ------------------------------------------------------------------
     # event application
     # ------------------------------------------------------------------
-    def _apply(self, index: int, event) -> None:
-        now = self.sim.engine.now
+    def _apply(self, sim, index: int, event) -> None:
+        now = sim.engine.now
         if isinstance(event, BankFailure):
-            self._apply_bank_failure(index, event, now)
+            self._apply_bank_failure(sim, index, event, now)
         elif isinstance(event, UnitLoss):
-            self._log_event(index, event, now, self._lose_fixed_units(event.units))
+            applied = self._lose_fixed_units(sim, event.units)
+            self._log_event(index, event, now, applied)
         elif isinstance(event, ThermalThrottle):
-            self._apply_thermal(index, event, now)
+            self._apply_thermal(sim, index, event, now)
         elif isinstance(event, ProgPimLoss):
-            lost = self.sim._on_prog_lost(event.pims)
+            lost = sim._on_prog_lost(event.pims)
             self._log_event(index, event, now, {"pims_lost": lost})
         elif isinstance(event, DramDerate):
-            self._apply_dram(index, event, now)
+            self._apply_dram(sim, index, event, now)
         else:  # pragma: no cover - spec validation rejects unknown kinds
             raise AssertionError(f"unhandled fault event {event!r}")
 
@@ -111,7 +113,9 @@ class FaultInjector:
         }
         self.events_log.append(entry)
 
-    def _apply_bank_failure(self, index: int, event: BankFailure, now: float) -> None:
+    def _apply_bank_failure(
+        self, sim, index: int, event: BankFailure, now: float
+    ) -> None:
         bank = event.bank % len(self.placement.units_per_bank)
         if bank in self._failed_banks:
             self._log_event(
@@ -123,75 +127,73 @@ class FaultInjector:
         units = self.placement.units_in(bank)
         applied = {"bank": bank}
         if units > 0:
-            applied.update(self._lose_fixed_units(units))
+            applied.update(self._lose_fixed_units(sim, units))
         else:
             applied.update({"units_lost": 0, "revoked": []})
         self._log_event(index, event, now, applied)
 
-    def _lose_fixed_units(self, units: int) -> Dict[str, object]:
+    def _lose_fixed_units(self, sim, units: int) -> Dict[str, object]:
         """Shrink the pool; the simulation retries/degrades revoked work."""
-        before = self.sim.fixed.pool.capacity_units
-        revoked = self.sim.fixed.lose_units(units)
-        lost = before - self.sim.fixed.pool.capacity_units
-        self.sim._recompute_placements()
-        self.sim._schedule_drain()
+        before = sim.fixed.pool.capacity_units
+        revoked = sim.fixed.lose_units(units)
+        lost = before - sim.fixed.pool.capacity_units
+        sim._recompute_placements()
+        sim._schedule_drain()
         return {"units_lost": lost, "revoked": sorted(revoked)}
 
-    def _apply_thermal(self, index: int, event: ThermalThrottle, now: float) -> None:
+    def _apply_thermal(
+        self, sim, index: int, event: ThermalThrottle, now: float
+    ) -> None:
         zone_units = sum(
             self.placement.units_in(bank.index)
             for bank in self.geometry.banks
             if bank.zone.value == event.zone
         )
-        share = zone_units / self.sim.fixed.pool.n_units
+        share = zone_units / sim.fixed.pool.n_units
         effective = 1.0 - (1.0 - event.factor) * share
         self._throttles[index] = effective
-        self._update_pool_speed()
+        self._update_pool_speed(sim)
         self._log_event(
             index,
             event,
             now,
             {"zone_units": zone_units, "effective_factor": effective},
         )
-        self.sim.engine.at(
+        sim.engine.at(
             event.time_s + event.duration_s,
-            lambda: self._restore_thermal(index, event),
+            partial(self._restore_thermal, sim, index, event),
         )
 
-    def _restore_thermal(self, index: int, event: ThermalThrottle) -> None:
+    def _restore_thermal(self, sim, index: int, event: ThermalThrottle) -> None:
         self._throttles.pop(index, None)
-        self._update_pool_speed()
-        self._log_event(
-            index, event, self.sim.engine.now, {"restored": True}
-        )
+        self._update_pool_speed(sim)
+        self._log_event(index, event, sim.engine.now, {"restored": True})
 
-    def _update_pool_speed(self) -> None:
+    def _update_pool_speed(self, sim) -> None:
         speed = 1.0
         for factor in self._throttles.values():
             speed *= factor
-        self.sim.fixed.set_speed(speed)
+        sim.fixed.set_speed(speed)
 
-    def _apply_dram(self, index: int, event: DramDerate, now: float) -> None:
+    def _apply_dram(self, sim, index: int, event: DramDerate, now: float) -> None:
         self._derates[index] = event.factor
-        self._update_dram_scale()
+        self._update_dram_scale(sim)
         self._log_event(index, event, now, {"factor": event.factor})
-        self.sim.engine.at(
+        sim.engine.at(
             event.time_s + event.duration_s,
-            lambda: self._restore_dram(index, event),
+            partial(self._restore_dram, sim, index, event),
         )
 
-    def _restore_dram(self, index: int, event: DramDerate) -> None:
+    def _restore_dram(self, sim, index: int, event: DramDerate) -> None:
         self._derates.pop(index, None)
-        self._update_dram_scale()
-        self._log_event(
-            index, event, self.sim.engine.now, {"restored": True}
-        )
+        self._update_dram_scale(sim)
+        self._log_event(index, event, sim.engine.now, {"restored": True})
 
-    def _update_dram_scale(self) -> None:
+    def _update_dram_scale(self, sim) -> None:
         scale = 1.0
         for factor in self._derates.values():
             scale *= factor
-        self.sim._set_dram_scale(scale)
+        sim._set_dram_scale(scale)
 
     # ------------------------------------------------------------------
     # recovery log (fed by the scheduler)

@@ -485,21 +485,23 @@ def graph_signature(graph: Graph):
     )
 
 
-#: Encoded graph signature per graph object (graphs are immutable once
-#: simulated; entries evict with the graph, so ids can't go stale).
-_graph_sig_cache: Dict[int, str] = {}
+#: sha256 state fed with the encoded graph signature, per graph object
+#: (graphs are immutable once simulated; entries evict with the graph, so
+#: ids can't go stale).  The signature (up to hundreds of KB) leads every
+#: fingerprint, which hashes a copy of this state plus its own short tail.
+_graph_sig_cache: Dict[int, "hashlib._Hash"] = {}
 
 
-def _encoded_graph_signature(graph: Graph) -> str:
+def _graph_signature_hash(graph: Graph) -> "hashlib._Hash":
     key = id(graph)
-    encoded = _graph_sig_cache.get(key)
-    if encoded is None:
+    state = _graph_sig_cache.get(key)
+    if state is None:
         parts = []
         _encode(graph_signature(graph), parts)
-        encoded = "".join(parts)
-        _graph_sig_cache[key] = encoded
+        state = hashlib.sha256("".join(parts).encode())
+        _graph_sig_cache[key] = state
         weakref.finalize(graph, _graph_sig_cache.pop, key, None)
-    return encoded
+    return state
 
 
 #: Encoded SystemConfig per config object.  Configs are frozen dataclasses
@@ -537,11 +539,13 @@ def run_fingerprint(
     effective_steps = (
         steps if steps is not None else config.runtime.measured_steps
     )
-    parts = [_encoded_graph_signature(graph)]
+    parts = []
     _encode((CACHE_SCHEMA, policy.signature()), parts)
     parts.append(config_signature(config))
     _encode((effective_steps, faults), parts)
-    return hashlib.sha256("".join(parts).encode()).hexdigest()
+    digest = _graph_signature_hash(graph).copy()
+    digest.update("".join(parts).encode())
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ discrete-event timing:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Optional
 
 from ..errors import SchedulingError, SimulationError
@@ -149,35 +150,27 @@ class FixedPoolExecutor:
     Args:
         engine: Event engine.
         pool: Allocation/busy-accounting state machine.
-        mac_rate_per_unit: MACs/s one unit retires.
-        byte_rate_per_unit: Bytes/s of in-stack bandwidth one unit's share
-            provides (streaming-bound sub-kernels).
         pipeline: Operation pipeline (OP) enabled — kernels share the pool
             and expand onto freed units.  Disabled, the pool is exclusive:
             one operation holds a pool *token* for its whole kernel.
         on_units_freed: Callback invoked after units return to the pool
-            (lets the scheduler admit waiting work).
+            (after a completion's ``on_done``, a token drop or a unit loss);
+            held for life, so it must not refer back to the executor's owner.
     """
 
     def __init__(
         self,
         engine: Engine,
         pool: FixedPIMPool,
-        mac_rate_per_unit: float,
-        byte_rate_per_unit: float,
         pipeline: bool,
         on_units_freed: Optional[Callable[[], None]] = None,
     ):
         self.engine = engine
         self.pool = pool
-        self.mac_rate_per_unit = mac_rate_per_unit
-        self.byte_rate_per_unit = byte_rate_per_unit
         self.pipeline = pipeline
         self.on_units_freed = on_units_freed or (lambda: None)
         #: Frequency multiplier from thermal throttling (1.0 = nominal).
         self._speed = 1.0
-        #: In-stack bandwidth multiplier from DRAM derating (1.0 = nominal).
-        self._bandwidth_scale = 1.0
         self._jobs: Dict[str, _MacJob] = {}
         self._arrivals = 0
         self._expansions = 0
@@ -239,36 +232,19 @@ class FixedPoolExecutor:
     # ------------------------------------------------------------------
     # sub-kernel execution
     # ------------------------------------------------------------------
-    def normalized_work(self, macs: int, nbytes: int) -> float:
-        """Work in unit-seconds: the per-unit compute/stream bound."""
-        mac_w = macs / self.mac_rate_per_unit if macs else 0.0
-        byte_w = (
-            nbytes / (self.byte_rate_per_unit * self._bandwidth_scale)
-            if nbytes
-            else 0.0
-        )
-        return max(mac_w, byte_w)
-
     def try_submit(
         self,
         kernel_id: str,
-        macs: int,
-        nbytes: int,
         want_units: int,
         on_done: Callable[[], None],
         on_abort: Optional[Callable[[], None]] = None,
-        work: Optional[float] = None,
+        *,
+        work: float,
     ) -> bool:
-        """Start a MAC sub-kernel; False when no units are available (or
-        another operation holds the exclusive token).
-
-        ``work`` lets callers pass a precomputed :meth:`normalized_work`
-        value (the cost table batches these up front).  It must equal
-        what ``normalized_work(macs, nbytes)`` returns at submission time,
-        so callers pass it only while the bandwidth scale is 1.0 and
-        ``None`` otherwise, letting the executor recompute at the live
-        scale.
-        """
+        """Start a MAC sub-kernel of ``work`` unit-seconds (the caller's
+        cost model, :meth:`~repro.sim.optable.CostTable.norm_work`); False
+        when no units are available (or another operation holds the
+        exclusive token).  A failed submission changes nothing."""
         if not self.pipeline and self._token_holder not in (None, kernel_id):
             return False
         now = self.engine.now
@@ -276,8 +252,6 @@ class FixedPoolExecutor:
         granted = self.pool.allocate(kernel_id, want, now)
         if granted == 0:
             return False
-        if work is None:
-            work = self.normalized_work(macs, nbytes)
         self._arrivals += 1
         job = _MacJob(
             kernel_id=kernel_id,
@@ -314,7 +288,7 @@ class FixedPoolExecutor:
             if not handle.cancelled and handle.time == target:
                 return  # completion unchanged; keep the scheduled event
             handle.cancel()
-        job.handle = self.engine.at(target, lambda: self._complete(job.kernel_id))
+        job.handle = self.engine.at(target, partial(self._complete, job.kernel_id))
 
     def _complete(self, kernel_id: str) -> None:
         job = self._jobs.pop(kernel_id, None)
@@ -362,15 +336,6 @@ class FixedPoolExecutor:
         self._speed = factor
         for job in sorted(self._jobs.values(), key=lambda j: j.arrival):
             self._schedule_completion(job)
-
-    def set_bandwidth_scale(self, factor: float) -> None:
-        """Scale the in-stack bandwidth seen by *newly submitted* work
-        (DRAM-timing derating; in-flight jobs keep their work estimate)."""
-        if factor <= 0:
-            raise SimulationError(
-                f"bandwidth scale must be > 0, got {factor}"
-            )
-        self._bandwidth_scale = factor
 
     def lose_units(self, units: int):
         """Shrink the pool; aborts revoked in-flight sub-kernels.

@@ -11,6 +11,13 @@ directly instead of going through a generated ``__lt__``, and cancellation
 is a sentinel write (``callback = None``) with no extra flag field.  The
 ``seq`` tiebreaker is unique, so the callback slot never takes part in a
 comparison.
+
+One event may live off the heap, in the *deferred* slot
+(:meth:`Engine.defer`, the simulation's drain step): it takes the ``seq``
+``after(0.0, ...)`` would give it and runs once the heap top is later in
+``(time, seq)`` order, so it orders and counts exactly like a heap entry
+without a push or pop.  Callbacks are held only while pending, so one that
+refers back to the engine's owner forms no cycle once the queue drains.
 """
 
 from __future__ import annotations
@@ -48,7 +55,8 @@ class EventHandle:
 class Engine:
     """Deterministic discrete-event engine."""
 
-    __slots__ = ("now", "_heap", "_seq", "_events_processed", "_peak_pending")
+    __slots__ = ("now", "_heap", "_seq", "_events_processed", "_peak_pending",
+                 "_deferred", "_deferred_seq")
 
     def __init__(self) -> None:
         self.now: float = 0.0
@@ -56,6 +64,19 @@ class Engine:
         self._seq = 0
         self._events_processed = 0
         self._peak_pending = 0
+        #: Callback of the deferred slot (None while the slot is free).
+        self._deferred: Optional[Callable[[], None]] = None
+        self._deferred_seq = 0
+
+    def _push(self, time: float, callback: Callable[[], None]) -> list:
+        entry = [time, self._seq, callback]
+        self._seq += 1
+        heap = self._heap
+        heapq.heappush(heap, entry)
+        pending = len(heap) + (self._deferred is not None)
+        if pending > self._peak_pending:
+            self._peak_pending = pending
+        return entry
 
     def at(self, time: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` at absolute ``time``."""
@@ -65,12 +86,7 @@ class Engine:
             )
         if callback is None:
             raise SimulationError("event callback must not be None")
-        entry = [time, self._seq, callback]
-        self._seq += 1
-        heapq.heappush(self._heap, entry)
-        if len(self._heap) > self._peak_pending:
-            self._peak_pending = len(self._heap)
-        return EventHandle(entry)
+        return EventHandle(self._push(time, callback))
 
     def after(self, delay: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` after ``delay`` seconds."""
@@ -78,38 +94,58 @@ class Engine:
             raise SimulationError(f"negative delay {delay}")
         return self.at(self.now + delay, callback)
 
+    def call_after(self, delay: float, callback: Callable[[], None]) -> None:
+        """:meth:`after` for callers that never cancel: no handle."""
+        if delay < 0:
+            raise SimulationError(f"negative delay {delay}")
+        self._push(self.now + delay, callback)
+
+    def defer(self, callback: Callable[[], None]) -> None:
+        """Run ``callback`` now, in ``after(0.0, callback)`` order, from
+        the deferred slot (one callback at a time)."""
+        if self._deferred is not None:
+            raise SimulationError("the deferred slot is already taken")
+        if callback is None:
+            raise SimulationError("event callback must not be None")
+        self._deferred = callback
+        self._deferred_seq = self._seq
+        self._seq += 1
+        pending = len(self._heap) + 1
+        if pending > self._peak_pending:
+            self._peak_pending = pending
+
     def run(self, until: Optional[float] = None, max_events: int = 10_000_000) -> None:
         """Process events until the queue drains (or ``until`` / the event
         budget is reached — the budget guards against runaway feedback)."""
         heap = self._heap
         pop = heapq.heappop
+        limit = float("inf") if until is None else until
         processed = self._events_processed
         try:
-            if until is None:
-                while heap:
-                    entry = pop(heap)
+            while True:
+                callback = self._deferred
+                if callback is not None and (
+                    not heap
+                    or heap[0][_TIME] > self.now
+                    or heap[0][_SEQ] > self._deferred_seq
+                ):
+                    # the deferred slot is next; its time is ``now``
+                    if self.now > limit:
+                        self.now = until
+                        return
+                    self._deferred = None
+                else:
+                    if not heap:
+                        return
+                    entry = heap[0]
+                    if entry[_TIME] > limit:
+                        self.now = until
+                        return
+                    pop(heap)
                     callback = entry[_CALLBACK]
                     if callback is None:
                         continue
                     self.now = entry[_TIME]
-                    processed += 1
-                    if processed > max_events:
-                        raise SimulationError(
-                            f"event budget exceeded ({max_events}); likely a "
-                            "scheduling livelock"
-                        )
-                    callback()
-                return
-            while heap:
-                entry = heap[0]
-                if entry[_TIME] > until:
-                    self.now = until
-                    return
-                pop(heap)
-                callback = entry[_CALLBACK]
-                if callback is None:
-                    continue
-                self.now = entry[_TIME]
                 processed += 1
                 if processed > max_events:
                     raise SimulationError(
@@ -122,7 +158,10 @@ class Engine:
 
     @property
     def pending_events(self) -> int:
-        return sum(1 for e in self._heap if e[_CALLBACK] is not None)
+        """Live (non-cancelled) events queued, the deferred slot included."""
+        return sum(1 for e in self._heap if e[_CALLBACK] is not None) + (
+            self._deferred is not None
+        )
 
     @property
     def drained(self) -> bool:
@@ -135,7 +174,7 @@ class Engine:
 
     @property
     def peak_pending_events(self) -> int:
-        """High-water mark of the event heap (cancelled entries included)."""
+        """High-water mark of queued events (cancelled ones included)."""
         return self._peak_pending
 
     def publish_metrics(self, registry) -> None:

@@ -91,7 +91,8 @@ class CostTable:
         self.gpu_total: Dict[int, float] = {}
         #: ``{id(op): (flops, full_gang, full_gang_duration_s, traffic)}``.
         self.prog: Dict[int, Tuple[float, int, float, int]] = {}
-        #: ``{id(op): [(sync_s, macs, bytes_moved, work_unit_s), ...]}``.
+        #: ``{id(op): [("mac", sync_s, macs, bytes_moved, work_unit_s),
+        #: ...]}`` (the layout of a hybrid ``"mac"`` row).
         self.fixed_plan: Dict[int, List[tuple]] = {}
         #: ``{id(op): [row, ...]}`` where a row is either
         #: ``("mac", sync_s, macs, bytes_moved, work_unit_s)`` or
@@ -113,7 +114,8 @@ class CostTable:
         )
         self.prog_penalty = prog_cfg.other_flop_penalty
         self.stack_bw = config.stack.bandwidth
-        #: Fixed-pool per-unit rates (those of ``FixedPoolExecutor``).
+        #: Fixed-pool per-unit rates: MACs/s one unit retires, and the
+        #: bytes/s of in-stack bandwidth one unit's share provides.
         self.mac_rate = (
             fp.simd_width * fp.macs_per_lane_cycle * config.pim_frequency_hz
         )
@@ -216,7 +218,7 @@ def _build(
         (prog_flops / gang_arr) / prog_rate, traffic / stack_bw
     )
 
-    # ---- fixed-pool normalized work (FixedPoolExecutor rates) --------
+    # ---- fixed-pool normalized work (norm_work, vectorized) ----------
     fp = config.fixed_pim
     work = np.maximum(macs / table.mac_rate, traffic / table.byte_rate)
     units = np.array(
@@ -295,6 +297,7 @@ def _build(
         if kernel.has_binary(BinaryKind.FIXED_FULL):
             table.fixed_plan[oid] = [
                 (
+                    "mac",
                     mac_sync(phase.macs, j == 0),
                     phase.macs,
                     phase.bytes_moved,

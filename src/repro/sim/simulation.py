@@ -10,12 +10,19 @@ sync/data-movement/operation breakdown (Fig 8/11), device usage and energy
 Every per-op cost comes from the run's :class:`~repro.sim.optable.CostTable`,
 fault-injected runs included; a live DRAM derate is applied at lookup
 time (see :mod:`repro.sim.optable`).
+
+The event recipes form no reference cycles (a callback never holds a
+reference back to the object that holds it), so a finished run is freed
+by reference counting: an in-flight FIXED/HYBRID operation is a
+:class:`_Kernel` whose bound methods are its callbacks, and the executor
+and fault injector keep no reference to the simulation.  The drain step
+runs in the engine's deferred slot (:meth:`~repro.sim.engine.Engine.defer`).
 """
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass, field
+from functools import partial
 from heapq import heappop, heappush
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Tuple
@@ -83,6 +90,101 @@ class _Task:
     park_gen: int = 0
 
 
+class _Kernel:
+    """A FIXED or HYBRID operation in flight: its plan rows run in order,
+    each ``"mac"`` row as one fixed-pool sub-kernel.
+
+    The bound methods are the kernel's event, executor and retry
+    callbacks.  Only pending events, waiter lists and in-flight pool jobs
+    hold them, so the kernel is freed by reference counting once it
+    finishes or degrades.
+    """
+
+    __slots__ = ("sim", "task", "rows", "index", "row", "want", "complex_on")
+
+    def __init__(self, sim, task: _Task, rows: List[tuple], complex_on) -> None:
+        self.sim = sim
+        self.task = task
+        self.rows = rows
+        #: Index of the next row; ``row`` is the one in progress.
+        self.index = 0
+        self.row: tuple = ()
+        self.want = task.spec.op.cost.parallelism
+        #: Where complex phases run ("prog" or "cpu"); None for a FIXED op.
+        self.complex_on = complex_on
+
+    def next_row(self) -> None:
+        sim = self.sim
+        i = self.index
+        if i == len(self.rows):
+            sim.fixed.drop_token(self.task.uid)
+            sim.fixed.window_exit()
+            sim._finish(self.task)
+            return
+        self.index = i + 1
+        self.row = row = self.rows[i]
+        sim._timed(SYNC, row[1], self._launched)
+
+    def _launched(self) -> None:
+        row = self.row
+        if row[0] == "cpx":
+            self.sim._run_complex_phase(
+                self.task.uid, row, self.complex_on, self.next_row
+            )
+            return
+        if self.complex_on is not None:
+            self.sim.usage.internal_bytes += row[3]
+        self.submit()
+
+    def submit(self) -> None:
+        """Submit the current MAC row, waiting for units if necessary.
+
+        The sub-kernel counts as compute activity only while it actually
+        holds units; waiting time surfaces as sync/idle in the breakdown.
+        Under fault injection a revoked sub-kernel is retried with capped
+        exponential backoff and the operation degrades (prog PIM, then
+        CPU) when the pool dies or the retry budget runs out.
+        """
+        if self._attempt():
+            return
+        sim = self.sim
+        if sim._injector is not None and sim.fixed.pool.capacity_units == 0:
+            self._on_dead()
+            return
+        sim._fixed_waiters.append((self._attempt, self._on_dead))
+
+    def _attempt(self) -> bool:
+        # table work is valid only at DRAM scale 1.0; each attempt checks
+        # the scale it submits under (a retry can straddle a derate)
+        sim = self.sim
+        _, _, macs, nbytes, work = self.row
+        scale = sim._dram_scale
+        if scale != 1.0:
+            work = sim._table.norm_work(macs, nbytes, scale)
+        if sim.fixed.try_submit(
+            self.task.uid, self.want, self._mac_done, self._on_abort, work=work
+        ):
+            sim.tracker.begin(COMPUTE, sim.engine.now)
+            return True
+        return False
+
+    def _mac_done(self) -> None:
+        sim = self.sim
+        sim.tracker.end(COMPUTE, sim.engine.now)
+        sim.usage.fixed_macs += self.row[2]
+        self.next_row()
+        sim._schedule_drain()  # the sub-kernel's units are back in the pool
+
+    def _on_abort(self) -> None:
+        # revoked mid-flight: the partial compute is lost
+        sim = self.sim
+        sim.tracker.end(COMPUTE, sim.engine.now)
+        sim._retry_or_degrade(self.task, self.submit)
+
+    def _on_dead(self) -> None:
+        self.sim._retry_or_degrade(self.task, self.submit, pool_dead=True)
+
+
 class Simulation:
     """One simulated run of ``graph`` under ``policy``.
 
@@ -134,14 +236,19 @@ class Simulation:
         pool = FixedPIMPool(self.config.fixed_pim.n_units)
         #: Per-op costs, shared with every run of the same (graph,
         #: policy, config) and never mutated by this one.
-        self._table = table = cost_table(graph, policy, self.config)
+        self._table = cost_table(graph, policy, self.config)
+        #: Canonical placements whose capacity was released since the last
+        #: drain scan consumed the set (the fixed-pool trio collapses to
+        #: "fixed"); gates which parked heaps the next scan considers.
+        self._freed: set = set()
+        # The executor only marks the pool freed (a callback into this
+        # object would be a reference cycle); each caller that can release
+        # units schedules the drain itself.
         self.fixed = FixedPoolExecutor(
             engine=self.engine,
             pool=pool,
-            mac_rate_per_unit=table.mac_rate,
-            byte_rate_per_unit=table.byte_rate,
             pipeline=policy.operation_pipeline,
-            on_units_freed=self._units_freed,
+            on_units_freed=partial(self._freed.add, "fixed"),
         )
 
         self.usage = DeviceUsage()
@@ -171,10 +278,6 @@ class Simulation:
         }
         self._drain_scheduled = False
         self._drain_rounds = 0
-        #: Canonical placements whose capacity was released since the last
-        #: drain scan consumed the set (the fixed-pool trio collapses to
-        #: "fixed"); gates which parked heaps the next scan considers.
-        self._freed: set = set()
         #: Tasks that failed a start attempt, parked off the ready list in
         #: one sort-ordered heap per canonical placement they could use.
         #: A capacity release re-examines only the best parked task of the
@@ -278,17 +381,7 @@ class Simulation:
     def run(self) -> RunResult:
         """Execute the trace to completion and collect metrics."""
         self._schedule_drain()
-        # The event loop allocates heavily (closures, heap entries) but
-        # creates no cycles needing collection mid-run; pausing the cyclic
-        # GC removes its periodic full-heap scans from the hot loop.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            self.engine.run()
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        self.engine.run()
         unfinished = [t.uid for t in self._tasks.values() if not t.done]
         if unfinished:
             raise SimulationError(
@@ -316,7 +409,7 @@ class Simulation:
         if self._drain_scheduled:
             return
         self._drain_scheduled = True
-        self.engine.after(0.0, self._drain)
+        self.engine.defer(self._drain)
 
     def _unpark_all(self) -> None:
         """Return every parked task to the ready list (placement rewrite:
@@ -339,25 +432,27 @@ class Simulation:
         for p in places:
             heappush(parked[_CANON_PLACE.get(p, p)], entry)
 
-    def _units_freed(self) -> None:
-        """Fixed-pool capacity returned (sub-kernel completion, token drop,
-        fault shrink): admit waiting work."""
-        self._freed.add("fixed")
-        self._schedule_drain()
-
     def _drain(self) -> None:
         self._drain_scheduled = False
         self._drain_rounds += 1
-        # retry mid-kernel sub-kernel submissions first (they hold devices)
-        if self._fixed_waiters:
+        freed = self._freed
+        # Retry mid-kernel sub-kernel submissions first (they hold
+        # devices), but only once the pool has released capacity: a failed
+        # submission has no side effects and capacity never grows back, so
+        # a retry with no release since the last one would fail again.
+        # Every release, token drop and unit loss marks "fixed" freed.
+        if self._fixed_waiters and "fixed" in freed:
             waiters, self._fixed_waiters = self._fixed_waiters, []
-            for attempt, on_dead in waiters:
+            pool = self.fixed.pool
+            for k, (attempt, on_dead) in enumerate(waiters):
+                if pool.free_units == 0 and pool.capacity_units > 0:
+                    # full (OP expansion took the units): the rest would
+                    # fail and wait on, in order
+                    self._fixed_waiters.extend(waiters[k:])
+                    break
                 if attempt():
                     continue
-                if (
-                    self._injector is not None
-                    and self.fixed.pool.capacity_units == 0
-                ):
+                if self._injector is not None and pool.capacity_units == 0:
                     on_dead()  # pool died while queued: degrade, don't hang
                 else:
                     self._fixed_waiters.append((attempt, on_dead))
@@ -373,7 +468,6 @@ class Simulation:
         # parked task skipped this round would have failed anyway (its
         # placements stayed exhausted), and the position check below keeps
         # the scan single-pass per round like the original drain.
-        freed = self._freed
         if not self._ready and not freed:
             return
         # Swap the ready list out before iterating: synchronous completions
@@ -695,8 +789,8 @@ class Simulation:
                 return
             self._slot_waiters[device.name].append((attempt, on_dead))
 
-    def _release_slot(self, device: SlotDevice) -> None:
-        device.release()
+    def _release_slot(self, device: SlotDevice, n: int = 1) -> None:
+        device.release(n)
         self._freed.add(device.name)
         waiters = self._slot_waiters[device.name]
         while waiters and device.free_slots > 0:
@@ -720,7 +814,7 @@ class Simulation:
             self.tracker.end(kind, self.engine.now)
             then()
 
-        self.engine.after(duration, _end)
+        self.engine.call_after(duration, _end)
 
     # ------------------------------------------------------------------
     # execution recipes
@@ -775,9 +869,7 @@ class Simulation:
 
         def _after_launch() -> None:
             def _done() -> None:
-                self.prog.release(gang)
-                self._freed.add("prog")
-                self._drain_prog_waiters()
+                self._release_slot(self.prog, gang)
                 self._finish(task)
 
             self._timed(COMPUTE, duration, _done)
@@ -785,69 +877,6 @@ class Simulation:
         self._timed(
             SYNC, self.config.prog_pim.host_launch_overhead_s, _after_launch
         )
-
-    def _drain_prog_waiters(self) -> None:
-        waiters = self._slot_waiters["prog"]
-        while waiters and self.prog.free_slots > 0:
-            attempt, on_dead = waiters.pop(0)
-            if not attempt():
-                waiters.insert(0, (attempt, on_dead))
-                break
-
-    def _submit_mac(
-        self,
-        task: _Task,
-        macs: int,
-        nbytes: int,
-        want: int,
-        on_done: Callable[[], None],
-        work: Optional[float] = None,
-    ) -> None:
-        """Submit one MAC sub-kernel, waiting for units if necessary.
-
-        The sub-kernel counts as compute activity only while it actually
-        holds units; waiting time surfaces as sync/idle in the breakdown.
-        Under fault injection the submission carries an abort hook: a
-        revoked sub-kernel is retried with capped exponential backoff and
-        the operation degrades (prog PIM, then CPU) when the pool dies or
-        the retry budget runs out.  ``work`` is the table's normalized
-        work, valid only at DRAM scale 1.0; each attempt checks the scale
-        it submits under (a retry can straddle a derate) and otherwise
-        lets the executor recompute.
-        """
-        uid = task.uid
-
-        def wrapped_done() -> None:
-            self.tracker.end(COMPUTE, self.engine.now)
-            self.usage.fixed_macs += macs
-            on_done()
-
-        def on_abort() -> None:
-            # revoked mid-flight: the partial compute is lost
-            self.tracker.end(COMPUTE, self.engine.now)
-            self._retry_or_degrade(task, resubmit)
-
-        def attempt() -> bool:
-            started = self.fixed.try_submit(
-                uid, macs, nbytes, want, wrapped_done, on_abort=on_abort,
-                work=work if self._dram_scale == 1.0 else None,
-            )
-            if started:
-                self.tracker.begin(COMPUTE, self.engine.now)
-            return started
-
-        def on_dead() -> None:
-            self._retry_or_degrade(task, resubmit, pool_dead=True)
-
-        def resubmit() -> None:
-            if attempt():
-                return
-            if self._injector is not None and self.fixed.pool.capacity_units == 0:
-                on_dead()
-                return
-            self._fixed_waiters.append((attempt, on_dead))
-
-        resubmit()
 
     def _retry_or_degrade(
         self, task: _Task, resubmit: Callable[[], None], pool_dead: bool = False
@@ -912,7 +941,6 @@ class Simulation:
     def _set_dram_scale(self, scale: float) -> None:
         """Apply a DRAM-timing derate to newly issued streaming phases."""
         self._dram_scale = scale
-        self.fixed.set_bandwidth_scale(scale)
 
     def _on_prog_lost(self, pims: int) -> int:
         """Shrink the programmable-PIM cluster; reroute dead waiters."""
@@ -971,29 +999,9 @@ class Simulation:
     def _start_fixed(self, task: _Task) -> None:
         """FIXED-class op: host-coordinated MAC chunks on the pool."""
         op = task.spec.op
-        rows = self._table.fixed_plan[id(op)]
-        want = op.cost.parallelism
-        n = len(rows)
         self.usage.internal_bytes += op.traffic_bytes
         self.fixed.window_enter()
-
-        def next_row(i: int) -> None:
-            if i >= n:
-                self.fixed.drop_token(task.uid)
-                self.fixed.window_exit()
-                self._finish(task)
-                return
-            sync_s, macs, nbytes, work = rows[i]
-
-            def row_launched() -> None:
-                self._submit_mac(
-                    task, macs, nbytes, want,
-                    lambda: next_row(i + 1), work=work,
-                )
-
-            self._timed(SYNC, sync_s, row_launched)
-
-        next_row(0)
+        _Kernel(self, task, self._table.fixed_plan[id(op)], None).next_row()
 
     def _start_hybrid(self, task: _Task, complex_on: str) -> None:
         """HYBRID op as a recursive PIM kernel (Figure 6).
@@ -1009,35 +1017,9 @@ class Simulation:
         phases one dispatch; the first (and, without recursive kernels,
         every) dispatch is a host round trip.
         """
-        op = task.spec.op
-        rows = self._table.hybrid_plan[id(op)]
-        want = op.cost.parallelism
-        n = len(rows)
+        rows = self._table.hybrid_plan[id(task.spec.op)]
         self.fixed.window_enter()
-
-        def next_row(i: int) -> None:
-            if i >= n:
-                self.fixed.drop_token(task.uid)
-                self.fixed.window_exit()
-                self._finish(task)
-                return
-            row = rows[i]
-
-            def row_launched() -> None:
-                if row[0] == "cpx":
-                    self._run_complex_phase(
-                        task.uid, row, complex_on, lambda: next_row(i + 1)
-                    )
-                else:
-                    self.usage.internal_bytes += row[3]
-                    self._submit_mac(
-                        task, row[2], row[3], want,
-                        lambda: next_row(i + 1), work=row[4],
-                    )
-
-            self._timed(SYNC, row[1], row_launched)
-
-        next_row(0)
+        _Kernel(self, task, rows, complex_on).next_row()
 
     def _run_complex_phase(
         self, uid: str, row: tuple, complex_on: str, then: Callable[[], None]

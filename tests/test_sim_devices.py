@@ -2,19 +2,17 @@
 
 import pytest
 
+from repro.config import default_config
 from repro.errors import SchedulingError, SimulationError
 from repro.hardware.fixed_pim import FixedPIMPool
 from repro.sim.devices import FixedPoolExecutor, SlotDevice
 from repro.sim.engine import Engine
+from repro.sim.optable import CostTable
 
 
-def make_pool(engine, units=10, pipeline=True, mac_rate=100.0, byte_rate=1000.0):
+def make_pool(engine, units=10, pipeline=True):
     return FixedPoolExecutor(
-        engine=engine,
-        pool=FixedPIMPool(units),
-        mac_rate_per_unit=mac_rate,
-        byte_rate_per_unit=byte_rate,
-        pipeline=pipeline,
+        engine=engine, pool=FixedPIMPool(units), pipeline=pipeline
     )
 
 
@@ -57,44 +55,52 @@ class TestSlotDevice:
 class TestFixedPoolExecutor:
     def test_single_job_duration(self):
         engine = Engine()
-        pool = make_pool(engine, units=10, mac_rate=100.0)
+        pool = make_pool(engine, units=10)
         done = []
-        # 1000 MACs on 10 units at 100 MAC/s/unit -> 1 second
-        assert pool.try_submit("k", 1000, 0, 10, lambda: done.append(engine.now))
+        # 10 unit-seconds of work on 10 units -> 1 second
+        assert pool.try_submit("k", 10, lambda: done.append(engine.now), work=10.0)
         engine.run()
         assert done == [pytest.approx(1.0)]
 
     def test_byte_bound_job(self):
-        engine = Engine()
-        pool = make_pool(engine, units=10, byte_rate=1000.0)
-        done = []
-        # 10000 bytes / (10 units x 1000 B/s) -> 1 second, despite few MACs
-        pool.try_submit("k", 1, 10_000, 10, lambda: done.append(engine.now))
-        engine.run()
-        assert done == [pytest.approx(1.0)]
+        # the cost table's work formula takes the streaming bound when the
+        # bytes dominate, with the bandwidth derated by the DRAM scale
+        table = CostTable(default_config())
+        nbytes = int(10 * table.byte_rate)
+        for scale in (1.0, 0.5):
+            work = table.norm_work(1, nbytes, scale)
+            assert work == pytest.approx(10.0 / scale)
+            engine = Engine()
+            pool = make_pool(engine, units=10)
+            done = []
+            pool.try_submit("k", 10, lambda: done.append(engine.now), work=work)
+            engine.run()
+            assert done == [pytest.approx(1.0 / scale)]
 
     def test_processor_sharing_expansion(self):
         engine = Engine()
-        pool = make_pool(engine, units=10, mac_rate=100.0)
+        pool = make_pool(engine, units=10)
         done = {}
-        # job A wants all 10 units: 4000 MACs
-        pool.try_submit("a", 4000, 0, 10, lambda: done.setdefault("a", engine.now))
+        # job A wants all 10 units: 40 unit-seconds
+        pool.try_submit("a", 10, lambda: done.setdefault("a", engine.now), work=40.0)
         engine.run(until=0.0)
         # nothing free for B yet
-        assert not pool.try_submit("b", 100, 0, 5, lambda: done.setdefault("b", engine.now))
+        assert not pool.try_submit(
+            "b", 5, lambda: done.setdefault("b", engine.now), work=1.0
+        )
         engine.run()
         assert done["a"] == pytest.approx(4.0)
 
     def test_expansion_accelerates_running_job(self):
         engine = Engine()
-        pool = make_pool(engine, units=10, mac_rate=100.0)
+        pool = make_pool(engine, units=10)
         done = {}
         # A gets 5 units (wants 10); B holds the other 5 briefly
-        pool.try_submit("b", 250, 0, 5, lambda: done.setdefault("b", engine.now))
-        pool.try_submit("a", 4000, 0, 10, lambda: done.setdefault("a", engine.now))
+        pool.try_submit("b", 5, lambda: done.setdefault("b", engine.now), work=2.5)
+        pool.try_submit("a", 10, lambda: done.setdefault("a", engine.now), work=40.0)
         engine.run()
-        # B: 250/(5x100) = 0.5s. A: 5 units for 0.5s (250 done of 4000
-        # normalized... then 10 units) -> finishes sooner than 8s
+        # B: 2.5/5 = 0.5s. A: 5 units for 0.5s (2.5 of its 40 unit-seconds
+        # done), then 10 units -> finishes sooner than 8s
         assert done["b"] == pytest.approx(0.5)
         assert done["a"] < 8.0 - 1e-9
         # busy integral equals total normalized work
@@ -113,8 +119,8 @@ class TestFixedPoolExecutor:
         engine = Engine()
         pool = make_pool(engine, pipeline=False)
         pool.try_take_token("op1")
-        assert not pool.try_submit("op2", 100, 0, 5, lambda: None)
-        assert pool.try_submit("op1", 100, 0, 5, lambda: None)
+        assert not pool.try_submit("op2", 5, lambda: None, work=1.0)
+        assert pool.try_submit("op1", 5, lambda: None, work=1.0)
 
     def test_drop_foreign_token_rejected(self):
         pool = make_pool(Engine(), pipeline=False)
@@ -124,9 +130,9 @@ class TestFixedPoolExecutor:
 
     def test_duty_window_utilization(self):
         engine = Engine()
-        pool = make_pool(engine, units=10, mac_rate=100.0)
+        pool = make_pool(engine, units=10)
         pool.window_enter()
-        pool.try_submit("k", 500, 0, 5, lambda: pool.window_exit())
+        pool.try_submit("k", 5, lambda: pool.window_exit(), work=5.0)
         engine.run()
         # 5 busy units over a 1s window on a 10-unit pool
         assert pool.utilization() == pytest.approx(0.5)
@@ -142,11 +148,9 @@ class TestFixedPoolExecutor:
         pool = FixedPoolExecutor(
             engine=engine,
             pool=FixedPIMPool(4),
-            mac_rate_per_unit=100.0,
-            byte_rate_per_unit=100.0,
             pipeline=True,
             on_units_freed=lambda: calls.append(engine.now),
         )
-        pool.try_submit("k", 100, 0, 4, lambda: None)
+        pool.try_submit("k", 4, lambda: None, work=1.0)
         engine.run()
         assert calls  # fired at completion

@@ -149,6 +149,98 @@ class TestEngine:
         assert log == [1, 3, 5, 7, 9]
 
 
+class TestDeferredSlot:
+    def test_runs_in_the_order_after_zero_would_give(self):
+        # same-time events queued before the deferral run first, those
+        # queued after it run later, exactly as with after(0.0, ...)
+        engine = Engine()
+        log = []
+
+        def first():
+            log.append("first")
+            engine.defer(lambda: log.append("deferred"))
+            engine.after(0.0, lambda: log.append("after"))
+
+        engine.at(1.0, first)
+        engine.at(1.0, lambda: log.append("queued before"))
+        engine.at(2.0, lambda: log.append("later"))
+        engine.run()
+        assert log == ["first", "queued before", "deferred", "after", "later"]
+
+    def test_matches_a_heap_entry_event_for_event(self):
+        def trace(use_slot):
+            engine = Engine()
+            log = []
+
+            def step(i):
+                log.append((engine.now, i))
+                if i < 6:
+                    if use_slot and i % 2 == 0:
+                        engine.defer(lambda: step(i + 1))
+                    else:
+                        engine.after(0.0, lambda: step(i + 1))
+                    engine.after(0.5 * (i % 3), lambda: log.append((engine.now, -i)))
+
+            engine.at(1.0, lambda: step(0))
+            engine.at(1.0, lambda: log.append((engine.now, "tie")))
+            engine.run()
+            return log, engine.events_processed, engine.peak_pending_events
+
+        assert trace(True) == trace(False)
+
+    def test_counts_as_a_pending_and_processed_event(self):
+        engine = Engine()
+        engine.at(1.0, lambda: None)
+        engine.defer(lambda: None)
+        assert engine.pending_events == 2
+        assert not engine.drained
+        assert engine.peak_pending_events == 2
+        engine.run()
+        assert engine.events_processed == 2
+        assert engine.drained
+
+    def test_run_until_honours_the_slot(self):
+        engine = Engine()
+        log = []
+        engine.at(1.0, lambda: engine.defer(lambda: log.append(engine.now)))
+        engine.at(3.0, lambda: log.append("late"))
+        engine.run(until=1.0)
+        assert log == [1.0]
+        assert engine.pending_events == 1
+        engine.run(until=2.0)
+        assert engine.now == 2.0
+        assert log == [1.0]
+
+    def test_one_callback_at_a_time(self):
+        engine = Engine()
+        engine.defer(lambda: None)
+        with pytest.raises(SimulationError):
+            engine.defer(lambda: None)
+        engine.run()
+        engine.defer(lambda: None)  # free again once it ran
+        with pytest.raises(SimulationError):
+            Engine().defer(None)
+
+    def test_counts_toward_the_event_budget(self):
+        engine = Engine()
+
+        def rearm():
+            engine.defer(rearm)
+
+        engine.defer(rearm)
+        with pytest.raises(SimulationError):
+            engine.run(max_events=100)
+
+    def test_call_after_schedules_without_a_handle(self):
+        engine = Engine()
+        log = []
+        assert engine.call_after(1.0, lambda: log.append(engine.now)) is None
+        engine.run()
+        assert log == [1.0]
+        with pytest.raises(SimulationError):
+            engine.call_after(-1.0, lambda: None)
+
+
 class TestActivityTracker:
     def test_single_activity_buckets(self):
         t = ActivityTracker()
