@@ -3,16 +3,17 @@
 
 Demonstrates the public graph-building API: a small residual CNN is
 assembled with :class:`~repro.nn.layers.GraphBuilder`, the backward pass
-and optimizer ops are generated automatically, and the result runs through
-the same runtime as the paper's models.
+and optimizer ops are generated automatically, and the built graph goes
+straight into :func:`repro.api.simulate`, the same front door the paper's
+models use.
 
 Usage::
 
     python examples/custom_model.py
 """
 
+from repro.api import simulate
 from repro.nn.layers import GraphBuilder
-from repro.runtime import HeterogeneousPimRuntime
 
 
 def build_tiny_resnet(batch_size: int = 16):
@@ -49,13 +50,12 @@ def main() -> None:
     print(f"graph: {graph.num_ops} ops "
           f"({dict(graph.invocation_counts().most_common(5))} ...)\n")
 
-    runtime = HeterogeneousPimRuntime()
-    result = runtime.train(graph)
+    report = simulate(graph, "hetero-pim")
+    result = report.result
     print(f"step time on Hetero PIM: {result.step_time_s * 1e3:.3f} ms")
     print(f"dynamic energy:          {result.step_dynamic_energy_j * 1e3:.1f} mJ")
     print(f"fixed-PIM utilization:   {result.fixed_pim_utilization:.0%}")
-    print(f"offloaded op types:      "
-          f"{sorted(runtime.last_selection.candidate_types)}")
+    print(f"offloaded op types:      {report.selection['candidate_types']}")
 
 
 if __name__ == "__main__":

@@ -56,16 +56,6 @@ def main() -> None:
         print("  " + " ".join(cells))
     print("  (c=corner, e=edge, c/e banks carry more units than center)")
 
-    print(f"\n== data-locality mapping of {model}'s MAC work (sec IV-D) ==")
-    from repro.experiments.common import cached_graph
-    from repro.runtime.locality import analyze_locality
-    report = analyze_locality(cached_graph(model), placement)
-    print(f"  {len(report.assignments)} pool-eligible operations")
-    print(f"  {report.colocated_unit_fraction:.0%} of granted unit-slots sit "
-          f"in their input data's bank")
-    print(f"  {report.fully_colocated_ops} ops fully co-located; bank load "
-          f"imbalance {report.load_imbalance:.2f}x")
-
     print(f"\n== pool-size sweep on {model} (Hetero PIM) ==")
     sweep = sweep_fixed_units(model, unit_counts=(111, 222, 444, 888))
     print(f"  {'units':>6s} {'step time':>12s} {'E_dyn (J)':>10s} {'util':>6s}")

@@ -1,10 +1,12 @@
 #!/usr/bin/env python
 """Quickstart: train one AlexNet step on the heterogeneous PIM system.
 
-Builds the training-step graph, runs the full runtime pipeline (device
-initialization, binary generation, step-1 profiling, candidate selection,
-dynamic scheduling) and prints what the paper's evaluation would report for
-this run.
+Runs one model through :func:`repro.api.simulate`, the simulator's one
+front door: binary generation, step-1 profiling, candidate selection and
+dynamic scheduling all happen behind that call.  The script prints the
+platform it simulates, the Figure-4 kernel binaries, the offload
+decisions recorded on the report, and what the paper's evaluation would
+report for this run.
 
 Usage::
 
@@ -16,39 +18,44 @@ Usage::
 
 import sys
 
-from repro.nn.models import available_models, build_model
-from repro.runtime import HeterogeneousPimRuntime
+from repro.api import cached_graph, list_models, simulate
+from repro.config import default_config
+from repro.pimcl import generate_binaries
 
 
 def main() -> None:
     model = sys.argv[1] if len(sys.argv) > 1 else "alexnet"
-    if model not in available_models():
+    if model not in list_models():
         raise SystemExit(
-            f"unknown model {model!r}; choose from {available_models()}"
+            f"unknown model {model!r}; choose from {list_models()}"
         )
 
     print(f"Building one training step of {model} ...")
-    graph = build_model(model)
+    graph = cached_graph(model)
     print(f"  {graph.num_ops} operations, batch size {graph.batch_size}, "
           f"dataset {graph.dataset}")
 
-    runtime = HeterogeneousPimRuntime()
+    cfg = default_config()
     print("\nPlatform (extended OpenCL mapping):")
-    for device, pes in runtime.device_summary().items():
-        print(f"  {device:16s} {pes:4d} processing elements")
+    print(f"  {'host_cpu':16s} {cfg.cpu.cores:4d} cores")
+    print(f"  {'fixed_pim':16s} {cfg.fixed_pim.n_units:4d} multiplier/adder "
+          f"pairs over {cfg.stack.banks} banks")
+    arm_cores = cfg.prog_pim.n_pims * cfg.prog_pim.cores_per_pim
+    print(f"  {'prog_pim':16s} {arm_cores:4d} ARM cores")
 
     print("\nCompiling kernels (binary generation, paper Figure 4) ...")
-    kernels = runtime.compile(graph)
-    n_fixed = sum(1 for k in kernels.values() if len(k.binaries) > 1)
-    print(f"  {len(kernels)} kernels, {n_fixed} with PIM binaries")
+    kernels = [generate_binaries(op) for op in graph.ops]
+    n_pim = sum(1 for k in kernels if len(k.binaries) > 1)
+    print(f"  {len(kernels)} kernels, {n_pim} with PIM binaries")
 
     print("\nTraining (profile -> select -> schedule -> simulate) ...")
-    result = runtime.train(graph)
-    selection = runtime.last_selection
-    print(f"  offload candidates: {sorted(selection.candidate_types)}")
-    print(f"  selection covers {selection.time_coverage:.0%} of step time "
-          f"(target {selection.target_coverage:.0%})")
+    report = simulate(model, "hetero-pim")
+    selection = report.selection
+    print(f"  offload candidates: {selection['candidate_types']}")
+    print(f"  selection covers {selection['time_coverage']:.0%} of step time "
+          f"(target {selection['target_coverage']:.0%})")
 
+    result = report.result
     b = result.step_breakdown
     print(f"\nPer-step results on {result.config_name}:")
     print(f"  step time          {result.step_time_s * 1e3:10.2f} ms")

@@ -3,11 +3,14 @@ Neural Network Training: A Heterogeneous Approach" (MICRO 2018).
 
 Public API tour:
 
+* :mod:`repro.api` — the one front door: :func:`simulate` runs a model
+  name or a built graph on a configuration and returns a ``RunReport``.
 * :mod:`repro.nn` — TensorFlow-flavoured op-graph substrate and model zoo.
 * :mod:`repro.profiling` — workload characterization (paper Table I, Fig 2).
 * :mod:`repro.hardware` — device models: 3D stack, fixed-function PIMs,
   programmable PIM, host CPU, GPU, power/area/thermal.
-* :mod:`repro.pimcl` — the extended-OpenCL programming model.
+* :mod:`repro.pimcl` — kernel binaries of the extended-OpenCL model
+  (Figure 4).
 * :mod:`repro.runtime` — profiling-driven scheduler with recursive kernels
   (RC) and the operation pipeline (OP).
 * :mod:`repro.sim` — discrete-event simulator and metrics.

@@ -20,9 +20,16 @@ Chrome/Perfetto trace.  Unobserved calls go through the result cache
 numbers in the report are identical either way, because the simulator's
 accounting is always on.
 
-The CLI (``python -m repro run``), the experiment scripts and the examples
-all call through this module; the older graph-level entry points remain
-importable but warn.
+``model`` is a model-zoo name or a built :class:`~repro.nn.graph.Graph`
+(for instance one assembled with :class:`~repro.nn.layers.GraphBuilder`)::
+
+    report = simulate(my_graph, "hetero-pim")
+
+This is the one front door to the simulator: the CLI (``python -m repro
+run``), the experiment scripts, the serve daemon and the examples all call
+through this module.  ``Simulation(...).run()`` and
+:func:`repro.sim.cache.simulate_cached` are its internal layers, not
+user entry points.
 """
 
 from __future__ import annotations
@@ -209,7 +216,7 @@ class SimulateOptions:
 
 
 def _resolve_run(
-    model: str,
+    model: Union[str, Graph],
     config: Optional[str],
     batch_size: Optional[int],
     frequency_scale: float,
@@ -232,7 +239,12 @@ def _resolve_run(
             base = scaled
         else:
             base = base.with_frequency_scale(frequency_scale)
-    graph = cached_graph(model, batch_size)
+    if isinstance(model, Graph):
+        if batch_size is not None:
+            raise ValueError("batch_size cannot be combined with a built Graph")
+        graph = model
+    else:
+        graph = cached_graph(model, batch_size)
     if config is None:
         from .hardware import registry
 
@@ -264,7 +276,7 @@ def _resolved_options_record(
 
 
 def simulate(
-    model: str,
+    model: Union[str, Graph],
     config: Optional[str] = None,
     steps: int = 3,
     *,
@@ -283,7 +295,9 @@ def simulate(
     Parameters
     ----------
     model:
-        A model-zoo name (:func:`list_models`).
+        A model-zoo name (:func:`list_models`) or a built
+        :class:`~repro.nn.graph.Graph` (e.g. from
+        :class:`~repro.nn.layers.GraphBuilder`), simulated as given.
     config:
         A configuration name (:func:`list_configurations`); ``None``
         selects the backend's default configuration (``"hetero-pim"`` on
@@ -291,7 +305,9 @@ def simulate(
     steps:
         Measured training steps (positive).
     batch_size:
-        Override the model's default mini-batch size.
+        Override the model's default mini-batch size (model names only;
+        a ``Graph`` carries its own, and passing both raises
+        ``ValueError``).
     frequency_scale:
         PIM PLL multiplier (paper section VI-D); applied on top of
         ``base`` (or the default configuration).

@@ -140,10 +140,9 @@ def _max_pool_grad(x, y, grad, kernel, stride, padding):
     return dxp[:, ph0 : ph0 + h, pw0 : pw0 + w, :]
 
 
-def _softmax(logits):
+def _log_softmax(logits):
     z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 #: Operation types the executor understands.
@@ -310,11 +309,13 @@ class NumericExecutor:
         if t == "SparseSoftmaxCrossEntropyWithLogits":
             logits, labels = args
             labels = labels.astype(int)
-            probs = _softmax(logits)
+            log_probs = _log_softmax(logits)
             batch = logits.shape[0]
             rows = np.arange(batch)
-            loss = -np.log(np.clip(probs[rows, labels], 1e-300, None))
-            grad = probs.copy()
+            # log-sum-exp(z) - z[label]: exact however large the logit
+            # gap, so the loss never saturates where its gradient does not
+            loss = -log_probs[rows, labels]
+            grad = np.exp(log_probs)
             grad[rows, labels] -= 1.0
             grad /= batch  # gradient of the *mean* loss
             return loss, grad
@@ -355,12 +356,17 @@ def check_gradients(
 
     For each parameter, ``samples_per_param`` random entries are perturbed
     by ±``eps`` and the resulting loss slope is compared to the analytic
-    gradient the graph's backward operations computed.  Returns the maximum
-    relative error per parameter; raises AssertionError on mismatch.
+    gradient the graph's backward operations computed.  An entry whose
+    +eps and -eps runs give some ``Relu`` input different signs straddles
+    a kink, where the loss has no single slope, so another entry replaces
+    it.  Returns the maximum relative error per parameter; raises
+    AssertionError on mismatch, or when every entry of a parameter
+    straddles a kink.
     """
     executor = NumericExecutor(graph)
     env = executor.run(feeds)
     grad_of = param_gradient_tensors(graph)
+    relu_inputs = [op.inputs[0] for op in graph.ops if op.op_type == "Relu"]
     rng = np.random.default_rng(seed)
     names = list(params) if params is not None else sorted(grad_of)
     errors: Dict[str, float] = {}
@@ -368,14 +374,19 @@ def check_gradients(
         analytic = env[grad_of[pname]]
         base = np.asarray(feeds[pname], dtype=np.float64)
         worst = 0.0
-        flat_indices = rng.choice(
-            base.size, size=min(samples_per_param, base.size), replace=False
-        )
-        for flat in flat_indices:
+        checked = 0
+        for flat in rng.permutation(base.size):
+            if checked == samples_per_param:
+                break
             idx = np.unravel_index(flat, base.shape)
-            loss_plus = _loss_with(executor, feeds, pname, base, idx, +eps)
-            loss_minus = _loss_with(executor, feeds, pname, base, idx, -eps)
-            numeric = (loss_plus - loss_minus) / (2 * eps)
+            plus = _run_with(executor, feeds, pname, base, idx, +eps)
+            minus = _run_with(executor, feeds, pname, base, idx, -eps)
+            if any(
+                np.any((plus[t] > 0) != (minus[t] > 0)) for t in relu_inputs
+            ):
+                continue
+            checked += 1
+            numeric = (executor.loss(plus) - executor.loss(minus)) / (2 * eps)
             got = float(analytic[idx])
             err = abs(got - numeric) / max(abs(numeric), abs(got), atol / rtol)
             worst = max(worst, err)
@@ -384,16 +395,21 @@ def check_gradients(
                     f"gradient mismatch for {pname}{list(idx)}: "
                     f"analytic {got:.6g} vs finite-difference {numeric:.6g}"
                 )
+        if checked == 0:
+            raise AssertionError(
+                f"no entry of {pname} to check: every ±{eps:g} probe "
+                "straddles a ReLU kink"
+            )
         errors[pname] = worst
     return errors
 
 
-def _loss_with(executor, feeds, pname, base, idx, delta) -> float:
+def _run_with(executor, feeds, pname, base, idx, delta) -> Dict[str, np.ndarray]:
     perturbed = dict(feeds)
     changed = base.copy()
     changed[idx] += delta
     perturbed[pname] = changed
-    return executor.loss(executor.run(perturbed))
+    return executor.run(perturbed)
 
 
 def random_feeds(

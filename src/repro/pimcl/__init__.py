@@ -1,12 +1,13 @@
-"""pimcl — the extended-OpenCL programming model for heterogeneous PIM.
+"""pimcl — kernel binaries of the extended-OpenCL programming model.
 
-Paper section III-B / Table II: platform model (host + two accelerator
-types), execution model (recursive kernel invocation, operation pipeline,
-profiling-driven scheduling), and memory model (single shared global memory
-with relaxed consistency and explicit synchronization).
+Paper section III-B / Figure 4: every operation compiles to up to four
+binaries (#1 CPU, #2 fixed-PIM whole kernel, #3 fixed-PIM sub-kernels,
+#4 programmable-PIM kernel) with a phase plan for recursive kernels.
+Trace generation and the cost table consume these plans; the rest of
+the programming model (platform, queues, shared memory, Table III APIs)
+is realized by the simulator or not modeled — see DESIGN.md §3.
 """
 
-from .api import PimApi, PimSystemState
 from .codegen import generate_binaries
 from .kernel import (
     BinaryKind,
@@ -16,41 +17,13 @@ from .kernel import (
     PhaseKind,
     PhasePlan,
 )
-from .memory import Allocation, SharedGlobalMemory
-from .platform import (
-    ComputeDevice,
-    ComputeUnit,
-    DeviceType,
-    Platform,
-    ProcessingElement,
-    build_platform,
-)
-from .queue import CommandQueue, EventStatus, KernelCommand, KernelEvent
-from .sync import Barrier, CompletionFlags, GlobalLock
 
 __all__ = [
-    "Allocation",
-    "Barrier",
     "BinaryKind",
-    "CommandQueue",
-    "CompletionFlags",
-    "ComputeDevice",
-    "ComputeUnit",
-    "DeviceType",
-    "EventStatus",
-    "GlobalLock",
     "Kernel",
     "KernelBinary",
-    "KernelCommand",
-    "KernelEvent",
     "KernelPhase",
     "PhaseKind",
     "PhasePlan",
-    "PimApi",
-    "PimSystemState",
-    "Platform",
-    "ProcessingElement",
-    "SharedGlobalMemory",
-    "build_platform",
     "generate_binaries",
 ]

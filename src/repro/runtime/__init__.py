@@ -1,21 +1,11 @@
 """Runtime system: profiling-driven scheduling, RC and OP (section III-C)."""
 
-from .host_runtime import HeterogeneousPimRuntime
-from .locality import LocalityMapper, LocalityReport, OpAssignment, analyze_locality
-from .pim_host import OpLedgerEntry, PimSideRuntime
 from .registers import RegisterFile, UtilizationRegisters
 from .scheduler import HeteroPimPolicy
 from .selection import RankedOp, SelectionResult, rank_operations, select_candidates
 
 __all__ = [
-    "HeterogeneousPimRuntime",
-    "LocalityMapper",
-    "LocalityReport",
-    "OpAssignment",
-    "analyze_locality",
     "HeteroPimPolicy",
-    "OpLedgerEntry",
-    "PimSideRuntime",
     "RankedOp",
     "RegisterFile",
     "SelectionResult",

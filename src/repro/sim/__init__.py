@@ -1,9 +1,10 @@
 """Discrete-event, trace-driven simulator (paper section V-A).
 
-Entry points: :func:`repro.api.simulate` (model-level, returns a
-:class:`~repro.obs.report.RunReport`), :func:`repro.sim.cache.simulate_cached`
-(graph-level, cached), or ``Simulation(graph, policy, config).run()``
-(graph-level, direct).
+Run simulations through :func:`repro.api.simulate`, with a model name or
+a built :class:`~repro.nn.graph.Graph`; it returns a
+:class:`~repro.obs.report.RunReport`.  :class:`Simulation` and
+:func:`repro.sim.cache.simulate_cached` are the layers beneath that
+facade.
 """
 
 from .activity import COMPUTE, DATA_MOVEMENT, SYNC, ActivityTracker, TimeBreakdown

@@ -79,15 +79,35 @@ class TestPackageSurface:
         cfg = repro.default_config()
         assert cfg.fixed_pim.n_units == 444
 
-    def test_all_public_modules_importable(self):
-        import importlib
+    def test_readme_api_list_matches_all(self):
+        """The README's "Python API" list names exactly ``repro.__all__``."""
+        import re
+        from pathlib import Path
 
-        for mod in (
-            "repro.nn", "repro.nn.models", "repro.nn.numeric",
-            "repro.nn.inference", "repro.profiling", "repro.hardware",
-            "repro.hardware.dram_timing", "repro.pimcl", "repro.runtime",
-            "repro.runtime.locality", "repro.sim", "repro.sim.timeline",
-            "repro.sim.trace_io", "repro.baselines", "repro.experiments",
-            "repro.cli",
-        ):
-            importlib.import_module(mod)
+        import repro
+
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        section = readme.split("### Python API\n", 1)[1].split("\n#", 1)[0]
+        named = [
+            name
+            for item in section.split("\n- ")[1:]
+            for name in re.findall(r"`([^`]+)`", item.split(" — ", 1)[0])
+        ]
+        assert sorted(named) == sorted(repro.__all__)
+
+    def test_all_public_modules_importable(self):
+        """Every module in the package imports, so a leftover import of a
+        deleted module fails here wherever it hides."""
+        import importlib
+        import pkgutil
+
+        import repro
+
+        names = [
+            info.name
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+            if info.name != "repro.__main__"
+        ]
+        assert "repro.sim.simulation" in names
+        for name in names:
+            importlib.import_module(name)

@@ -205,6 +205,58 @@ class TestGradientCheck:
             numeric_mod.NumericExecutor._dispatch = original
 
 
+class TestGradientCheckEdgeCases:
+    @staticmethod
+    def _feed(feeds, prefix):
+        return next(name for name in feeds if name.startswith(prefix))
+
+    def test_large_logit_gap_loss_does_not_saturate(self):
+        """Logit gaps of 800 and 760 (past the 745 where exp underflows):
+        the loss stays exact, so its slope matches probs - onehot."""
+        b = GraphBuilder("gap", batch_size=2)
+        x = b.input((2, 3))
+        logits = b.dense(x, 3, activation=None, name="out")
+        b.softmax_loss(logits, 3)
+        g = b.finish()
+        feeds = random_feeds(g)
+        feeds[self._feed(feeds, "input")] = np.array([[1.0, 0, 0], [0, 1.0, 0]])
+        weights = np.zeros((3, 3))
+        weights[0, 2], weights[1, 2] = 800.0, 760.0
+        feeds["out/weights"] = weights
+        feeds["out/bias"] = np.zeros(3)
+        feeds[self._feed(feeds, "loss/labels")] = np.array([0, 0])
+        ex = NumericExecutor(g)
+        assert ex.loss(ex.run(feeds)) == pytest.approx(780.0)
+        check_gradients(g, feeds, params=["out/weights"], samples_per_param=9)
+
+    def kink_mlp(self, bias):
+        """One example, two hidden ReLU units with inputs 0.25 + bias[0]
+        and 0.5 + bias[1]; a zero input sits exactly on the kink."""
+        b = GraphBuilder("kink", batch_size=1)
+        x = b.input((1, 1))
+        h = b.dense(x, 2, name="fc")
+        logits = b.dense(h, 2, activation=None, name="out")
+        b.softmax_loss(logits, 2)
+        g = b.finish()
+        feeds = random_feeds(g, seed=1)
+        feeds[self._feed(feeds, "input")] = np.array([[1.0]])
+        feeds["fc/weights"] = np.array([[0.25, 0.5]])
+        feeds["fc/bias"] = np.array(bias)
+        return g, feeds
+
+    def test_probe_straddling_a_kink_is_replaced(self):
+        g, feeds = self.kink_mlp([-0.25, 0.1])
+        errors = check_gradients(
+            g, feeds, params=["fc/weights", "fc/bias"], samples_per_param=2
+        )
+        assert max(errors.values()) < 1e-4
+
+    def test_every_probe_on_a_kink_fails(self):
+        g, feeds = self.kink_mlp([-0.25, -0.5])
+        with pytest.raises(AssertionError, match="straddles a ReLU kink"):
+            check_gradients(g, feeds, params=["fc/weights"])
+
+
 class TestRecurrentCellGradients:
     def test_lstm_cell_chain_gradients(self):
         """Two LSTM timesteps with shared weights: gate slicing (Slice +

@@ -331,6 +331,25 @@ class TestApiFacade:
         with pytest.raises(ValueError):
             api.simulate(MODEL, "hetero-pim", steps=0)
 
+    def test_built_graph_matches_model_name(self, monkeypatch):
+        """A built Graph simulates to the same bytes as its zoo name;
+        both runs are cold (memory tier cleared, disk tier off)."""
+        from repro.nn.models import build_model
+
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        by_graph = api.simulate(build_model("dcgan"))
+        sim_cache._memory.clear()
+        by_name = api.simulate("dcgan")
+        assert by_graph.cache_stats["misses"] == 1
+        assert by_name.cache_stats["misses"] == 1
+        assert by_graph.result.to_json() == by_name.result.to_json()
+
+    def test_batch_size_with_graph_rejected(self):
+        from repro.nn.models import build_model
+
+        with pytest.raises(ValueError, match="batch_size"):
+            api.simulate(build_model(MODEL), batch_size=8)
+
     def test_frequency_scale(self):
         fast = api.simulate(MODEL, "hetero-pim", frequency_scale=2.0)
         plain = api.simulate(MODEL, "hetero-pim")

@@ -1,28 +1,10 @@
-"""Extended-OpenCL programming model: platform, kernels, memory, sync."""
+"""Extended-OpenCL programming model: kernel binaries (paper Figure 4)."""
 
 import pytest
 
-from repro.config import default_config
-from repro.errors import (
-    KernelBuildError,
-    ProgrammingModelError,
-    SchedulingError,
-)
+from repro.errors import KernelBuildError
 from repro.nn.ops import Op, OpCost
-from repro.nn.tensor import TensorSpec
-from repro.pimcl import (
-    Barrier,
-    BinaryKind,
-    CommandQueue,
-    CompletionFlags,
-    DeviceType,
-    EventStatus,
-    GlobalLock,
-    PhaseKind,
-    SharedGlobalMemory,
-    build_platform,
-    generate_binaries,
-)
+from repro.pimcl import BinaryKind, PhaseKind, generate_binaries
 
 
 def conv_op(name="l1/Conv2D", op_type="Conv2D", **cost):
@@ -30,37 +12,6 @@ def conv_op(name="l1/Conv2D", op_type="Conv2D", **cost):
                     parallelism=27)
     defaults.update(cost)
     return Op(name=name, op_type=op_type, cost=OpCost(**defaults))
-
-
-class TestPlatform:
-    def test_mapping_follows_paper(self):
-        platform = build_platform(default_config())
-        fixed = platform.fixed_pim_device
-        # all fixed-function PIMs form ONE compute device; PIMs in a bank
-        # form a compute unit (Figure 5b)
-        assert fixed.device_type is DeviceType.FIXED_PIM
-        assert fixed.n_pes == 444
-        assert len(fixed.compute_units) == 32
-        # each programmable PIM is its own compute device with cores as PEs
-        progs = platform.prog_pim_devices
-        assert len(progs) == 1
-        assert progs[0].n_pes == 4
-
-    def test_host_device(self):
-        platform = build_platform(default_config())
-        assert platform.host.device_type is DeviceType.HOST_CPU
-        assert platform.host.n_pes == 8
-
-    def test_unknown_device_rejected(self):
-        platform = build_platform(default_config())
-        with pytest.raises(ProgrammingModelError):
-            platform.device("tpu")
-
-    def test_prog_pim_scaling(self):
-        cfg = default_config().with_prog_pims(4)
-        platform = build_platform(cfg)
-        assert len(platform.prog_pim_devices) == 4
-        assert platform.fixed_pim_device.n_pes == cfg.fixed_pim.n_units
 
 
 class TestBinaryGeneration:
@@ -112,104 +63,3 @@ class TestBinaryGeneration:
         assert len(plan) == 1
         assert plan.phases[0].macs == 0
         assert plan.phases[0].bytes_moved > 0
-
-
-class TestSharedMemory:
-    def test_single_global_memory_no_copies(self):
-        mem = SharedGlobalMemory(n_banks=32)
-        alloc = mem.allocate(TensorSpec("x", (100,)))
-        assert 0 <= alloc.home_bank < 32
-        assert mem.home_bank("x") == alloc.home_bank
-
-    def test_deterministic_banking(self):
-        a = SharedGlobalMemory(n_banks=32)
-        b = SharedGlobalMemory(n_banks=32)
-        a.allocate(TensorSpec("x", (100,)))
-        b.allocate(TensorSpec("x", (100,)))
-        assert a.home_bank("x") == b.home_bank("x")
-
-    def test_relaxed_consistency_epochs(self):
-        mem = SharedGlobalMemory(n_banks=4)
-        mem.allocate(TensorSpec("t", (10,)))
-        mem.begin_write("t")
-        assert not mem.is_visible("t")
-        with pytest.raises(ProgrammingModelError):
-            mem.check_readable("t")
-        mem.publish("t")  # kernel-call boundary
-        mem.check_readable("t")
-
-    def test_double_allocate_rejected(self):
-        mem = SharedGlobalMemory(n_banks=4)
-        mem.allocate(TensorSpec("t", (10,)))
-        with pytest.raises(ProgrammingModelError):
-            mem.allocate(TensorSpec("t", (10,)))
-
-    def test_unknown_tensor_rejected(self):
-        with pytest.raises(ProgrammingModelError):
-            SharedGlobalMemory(n_banks=4).home_bank("ghost")
-
-
-class TestSyncPrimitives:
-    def test_global_lock(self):
-        lock = GlobalLock("l")
-        assert lock.acquire("cpu")
-        assert not lock.acquire("pim")
-        assert lock.acquire("cpu")  # re-entrant for the holder
-        lock.release("cpu")
-        assert lock.acquire("pim")
-
-    def test_lock_release_by_non_holder_rejected(self):
-        lock = GlobalLock("l")
-        lock.acquire("cpu")
-        with pytest.raises(SchedulingError):
-            lock.release("pim")
-
-    def test_barrier_releases_when_all_arrive(self):
-        barrier = Barrier("b", participants={"cpu", "prog", "fixed"})
-        assert not barrier.arrive("cpu")
-        assert not barrier.arrive("prog")
-        assert barrier.arrive("fixed")
-        assert barrier.generation == 1
-        assert barrier.waiting == ["cpu", "fixed", "prog"]
-
-    def test_barrier_rejects_strangers(self):
-        barrier = Barrier("b", participants={"cpu"})
-        with pytest.raises(SchedulingError):
-            barrier.arrive("gpu")
-
-    def test_completion_flags_drain(self):
-        flags = CompletionFlags()
-        flags.mark_done("op1")
-        flags.mark_done("op2")
-        assert flags.is_done("op1")
-        assert flags.drain() == ["op1", "op2"]
-        assert not flags.is_done("op1")
-
-
-class TestCommandQueue:
-    def test_enqueue_pop_lifecycle(self):
-        q = CommandQueue("fixed_pim")
-        kernel = generate_binaries(conv_op())
-        event = q.enqueue(kernel, BinaryKind.FIXED_FULL, now=1.0)
-        assert event.status is EventStatus.QUEUED
-        cmd = q.pop()
-        assert cmd.event is event
-        event.mark_running(2.0)
-        event.mark_complete(3.0)
-        assert event.status is EventStatus.COMPLETE
-        assert event.queue_delay_s == pytest.approx(1.0)
-
-    def test_enqueue_validates_binary(self):
-        q = CommandQueue("prog_pim_0")
-        kernel = generate_binaries(conv_op())  # FIXED op: no PROG binary
-        with pytest.raises(KernelBuildError):
-            q.enqueue(kernel, BinaryKind.PROG)
-
-    def test_invalid_event_transitions(self):
-        q = CommandQueue("fixed_pim")
-        event = q.enqueue(generate_binaries(conv_op()), BinaryKind.FIXED_FULL)
-        with pytest.raises(ProgrammingModelError):
-            event.mark_complete(1.0)
-
-    def test_empty_pop(self):
-        assert CommandQueue("d").pop() is None

@@ -1,4 +1,4 @@
-"""Runtime system: selection, scheduler policy, registers, PIM-side ledger."""
+"""Runtime system: selection, scheduler policy, utilization registers."""
 
 import pytest
 
@@ -11,9 +11,7 @@ from repro.hardware.prog_pim import ProgPIMCluster
 from repro.nn.models import build_model
 from repro.profiling import WorkloadProfiler
 from repro.runtime import (
-    HeterogeneousPimRuntime,
     HeteroPimPolicy,
-    PimSideRuntime,
     UtilizationRegisters,
     rank_operations,
     select_candidates,
@@ -193,64 +191,3 @@ class TestRegisters:
         placement = place_fixed_pims(geometry, 100)
         with pytest.raises(HardwareConfigError):
             UtilizationRegisters(FixedPIMPool(444), ProgPIMCluster(1), placement)
-
-
-class TestPimSideRuntime:
-    def test_ledger_tracks_progress(self):
-        rt = PimSideRuntime()
-        rt.begin_op("conv/CBF", muls=100, adds=100)
-        rt.record_sub_kernel("conv/CBF", muls=40, adds=40)
-        entry = rt.entry("conv/CBF")
-        assert entry.remaining_muls == 60
-        assert entry.progress == pytest.approx(0.4)
-        rt.record_sub_kernel("conv/CBF", muls=60, adds=60)
-        rt.finish_op("conv/CBF")
-        assert rt.completion.is_done("conv/CBF")
-        assert rt.recursive_dispatches == 2
-
-    def test_over_report_rejected(self):
-        rt = PimSideRuntime()
-        rt.begin_op("op", muls=10, adds=10)
-        with pytest.raises(SchedulingError):
-            rt.record_sub_kernel("op", muls=11, adds=0)
-
-    def test_duplicate_in_flight_rejected(self):
-        rt = PimSideRuntime()
-        rt.begin_op("op", muls=1, adds=1)
-        with pytest.raises(SchedulingError):
-            rt.begin_op("op", muls=1, adds=1)
-
-    def test_unknown_op_rejected(self):
-        with pytest.raises(SchedulingError):
-            PimSideRuntime().finish_op("ghost")
-
-    def test_in_flight_listing(self):
-        rt = PimSideRuntime()
-        rt.begin_op("a", 1, 1)
-        rt.begin_op("b", 1, 1)
-        rt.finish_op("a")
-        assert [e.op_name for e in rt.in_flight()] == ["b"]
-
-
-class TestHostRuntimeFacade:
-    def test_device_summary(self):
-        rt = HeterogeneousPimRuntime()
-        summary = rt.device_summary()
-        assert summary["fixed_pim"] == 444
-        assert summary["prog_pim_0"] == 4
-
-    def test_compile_produces_kernels_for_all_ops(self):
-        rt = HeterogeneousPimRuntime()
-        g = build_model("dcgan")
-        kernels = rt.compile(g)
-        assert set(kernels) == {op.name for op in g.ops}
-
-    def test_train_end_to_end(self):
-        rt = HeterogeneousPimRuntime()
-        result = rt.train(build_model("dcgan"), steps=2)
-        assert result.config_name == "Hetero PIM"
-        assert result.step_time_s > 0
-        assert rt.last_selection is not None
-
-    def test_last_selection_none_before_train(self):
-        assert HeterogeneousPimRuntime().last_selection is None
