@@ -3,9 +3,11 @@
 ``golden/engine_corpus.json`` maps each run below to the sha256 of its
 ``RunResult.to_json()``.  The corpus spans every zoo model on the five
 evaluated configurations, hetero-pim without recursive kernels and without
-the operation pipeline, both rival backends, and seeded fault specs on the
-two fixed-pool configurations.  Any change to the bytes of any of these
-results fails here.  Regenerate the map only for an intended behavioural
+the operation pipeline, both rival backends, seeded fault specs on the
+two fixed-pool configurations, a Fig 16 co-run (merged graph under
+``MixedWorkloadPolicy``, clean and faulted) with its restricted tenant
+solo, and one Fig 11 frequency-scale and one Fig 12 prog-PIM-count
+variant.  Any change to the bytes of any of these results fails here.  Regenerate the map only for an intended behavioural
 change:
 
     PYTHONPATH=src python tests/test_engine_corpus.py --write
@@ -28,6 +30,7 @@ from hypothesis import strategies as st
 from repro.baselines import build_configuration
 from repro.baselines.configs import make_hetero_pim
 from repro.config import default_config
+from repro.experiments import fig16
 from repro.faults import FaultSpec
 from repro.hardware import registry
 from repro.hardware.hmc import StackGeometry
@@ -47,6 +50,10 @@ FAULT_CONFIGS = ("fixed-pim", "hetero-pim")
 #: while a DRAM derate is live.
 FAULT_SEEDS = (2, 5, 10)
 FAULT_EVENTS = 4
+#: Fig 16 co-run: the CNN plus ``CORUN_K`` renamed replicas of the tenant.
+CORUN = ("vgg-19", "lstm")
+CORUN_K = 2
+CORUN_FAULT_SEED = 5
 
 
 def _setup(variant):
@@ -57,6 +64,14 @@ def _setup(variant):
         return make_hetero_pim(default_config(), recursive_kernels=False)
     if variant == "hetero-pim-no-op":
         return make_hetero_pim(default_config(), operation_pipeline=False)
+    if variant == "hetero-pim-freq-4x":  # Fig 11
+        return build_configuration(
+            "hetero-pim", default_config().with_frequency_scale(4.0)
+        )
+    if variant == "hetero-pim-16p":  # Fig 12
+        return build_configuration(
+            "hetero-pim", default_config().with_prog_pims(16)
+        )
     return registry.build(variant)
 
 
@@ -71,19 +86,41 @@ def _clean(model, variant):
     return Simulation(_graph(model), policy, config=config, steps=STEPS).run()
 
 
-def _faulted(model, variant, seed):
-    config, policy = _setup(variant)
-    spec = FaultSpec.generate(
+def _spec(config, seed, horizon_s):
+    return FaultSpec.generate(
         seed=seed,
-        horizon_s=_clean(model, variant).makespan_s,
+        horizon_s=horizon_s,
         n_events=FAULT_EVENTS,
         banks=len(StackGeometry(config.stack).banks),
         pool_units=config.fixed_pim.n_units,
         prog_pims=config.prog_pim.n_pims,
     )
+
+
+def _faulted(model, variant, seed):
+    config, policy = _setup(variant)
+    spec = _spec(config, seed, _clean(model, variant).makespan_s)
     return Simulation(
         _graph(model), policy, config=config, steps=STEPS, faults=spec
     ).run()
+
+
+@functools.lru_cache(maxsize=None)
+def _corun(seed=None):
+    """The Fig 16 co-run job (merged graph, tenant-restricting policy),
+    clean or under the seeded fault spec sized to the clean makespan."""
+    graph, policy, config, _ = fig16._corun_job(*CORUN, CORUN_K)
+    spec = None
+    if seed is not None:
+        spec = _spec(config, seed, _corun().makespan_s)
+    return Simulation(
+        graph, policy, config=config, steps=STEPS, faults=spec
+    ).run()
+
+
+def _restricted_solo():
+    graph, policy, config, _ = fig16._solo_restricted_job(CORUN[1])
+    return Simulation(graph, policy, config=config, steps=STEPS).run()
 
 
 def _entries():
@@ -104,6 +141,18 @@ def _entries():
                 entries[f"{model}-{variant}-fault-seed-{seed}"] = (
                     functools.partial(_faulted, model, variant, seed)
                 )
+    corun = f"{CORUN[0]}+{CORUN_K}x{CORUN[1]}"
+    entries[f"corun-{corun}"] = _corun
+    entries[f"corun-{corun}-fault-seed-{CORUN_FAULT_SEED}"] = (
+        functools.partial(_corun, CORUN_FAULT_SEED)
+    )
+    entries[f"{CORUN[1]}-restricted-solo"] = _restricted_solo
+    entries["resnet-50-hetero-pim-freq-4x"] = functools.partial(
+        _clean, "resnet-50", "hetero-pim-freq-4x"
+    )
+    entries["resnet-50-hetero-pim-16p"] = functools.partial(
+        _clean, "resnet-50", "hetero-pim-16p"
+    )
     return entries
 
 
