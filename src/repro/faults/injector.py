@@ -193,7 +193,7 @@ class FaultInjector:
         scale = 1.0
         for factor in self._derates.values():
             scale *= factor
-        sim._set_dram_scale(scale)
+        sim._dram_scale = scale  # read by newly issued streaming phases
 
     # ------------------------------------------------------------------
     # recovery log (fed by the scheduler)

@@ -64,11 +64,8 @@ class FixedPIMPool:
 
     @property
     def free_units(self) -> int:
-        return self.capacity_units - self.busy_units
-
-    def holding(self, kernel_id: str) -> int:
-        """Units currently held by ``kernel_id`` (0 if none)."""
-        return self._allocations.get(kernel_id, 0)
+        # read per scheduling decision: one attribute sum, no property chain
+        return self.n_units - self._lost_units - self._busy
 
     def allocate(self, kernel_id: str, want: int, now: float) -> int:
         """Grant up to ``want`` units to a new kernel; returns the grant.
@@ -79,7 +76,7 @@ class FixedPIMPool:
             raise SchedulingError(f"kernel {kernel_id!r} already holds units")
         if want < 1:
             raise SchedulingError(f"kernel {kernel_id!r} requested {want} units")
-        granted = min(want, self.free_units)
+        granted = min(want, self.n_units - self._lost_units - self._busy)
         if granted > 0:
             self._integrate(now)
             self._allocations[kernel_id] = granted
@@ -122,7 +119,7 @@ class FixedPIMPool:
         self._integrate(now)
         self._lost_units += loss
         revoked: List[str] = []
-        while self.busy_units > self.capacity_units:
+        while self._busy > self.n_units - self._lost_units:
             kernel_id = next(reversed(self._allocations))
             self._busy -= self._allocations.pop(kernel_id)
             revoked.append(kernel_id)

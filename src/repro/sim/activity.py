@@ -94,7 +94,7 @@ class ActivityTracker:
 
     def _advance(self, now: float) -> None:
         last = self._last_time
-        if now < last:
+        if not now >= last:  # also rejects NaN
             raise SimulationError(
                 f"activity time went backwards: {now} < {last}"
             )
@@ -105,9 +105,7 @@ class ActivityTracker:
                 self._b_compute += elapsed
             elif self._c_move > 0:
                 self._b_move += elapsed
-            elif self._c_sync > 0:
-                self._b_sync += elapsed
-            elif self._started:
+            elif self._c_sync > 0 or self._started:
                 # nothing in flight: dependency-induced idle counts as
                 # synchronization once the run has started
                 self._b_sync += elapsed
@@ -115,10 +113,15 @@ class ActivityTracker:
                 self._idle_s += elapsed
         self._last_time = now
 
+    # ``begin`` and ``end`` run once per simulated activity edge.  An
+    # activity begins at the time of the edge before it (right after an
+    # event or another edge), so ``begin`` advances only when time moved;
+    # ``end`` nearly always advances, so it inlines ``_advance``.
     def begin(self, kind: str, now: float) -> None:
         if kind not in _KINDS:
             raise SimulationError(f"unknown activity kind {kind!r}")
-        self._advance(now)
+        if now != self._last_time:  # NaN included
+            self._advance(now)
         if kind == COMPUTE:
             self._c_compute += 1
         elif kind == DATA_MOVEMENT:
@@ -130,25 +133,34 @@ class ActivityTracker:
     def end(self, kind: str, now: float) -> None:
         if kind not in _KINDS:
             raise SimulationError(f"unknown activity kind {kind!r}")
-        self._advance(now)
+        last = self._last_time
+        if not now >= last:
+            raise SimulationError(
+                f"activity time went backwards: {now} < {last}"
+            )
+        elapsed = now - last
+        if elapsed > 0:
+            if self._c_compute > 0:
+                self._b_compute += elapsed
+            elif self._c_move > 0:
+                self._b_move += elapsed
+            elif self._c_sync > 0 or self._started:
+                self._b_sync += elapsed
+            else:
+                self._idle_s += elapsed
+            self._last_time = now
         if kind == COMPUTE:
-            if self._c_compute <= 0:
-                raise SimulationError(
-                    f"activity {kind!r} ended more than begun"
-                )
-            self._c_compute -= 1
+            if self._c_compute > 0:
+                self._c_compute -= 1
+                return
         elif kind == DATA_MOVEMENT:
-            if self._c_move <= 0:
-                raise SimulationError(
-                    f"activity {kind!r} ended more than begun"
-                )
-            self._c_move -= 1
-        else:
-            if self._c_sync <= 0:
-                raise SimulationError(
-                    f"activity {kind!r} ended more than begun"
-                )
+            if self._c_move > 0:
+                self._c_move -= 1
+                return
+        elif self._c_sync > 0:
             self._c_sync -= 1
+            return
+        raise SimulationError(f"activity {kind!r} ended more than begun")
 
     def breakdown(self, now: float) -> TimeBreakdown:
         """Finalize and return the bucket split up to ``now``."""

@@ -68,7 +68,15 @@ class Engine:
         self._deferred: Optional[Callable[[], None]] = None
         self._deferred_seq = 0
 
-    def _push(self, time: float, callback: Callable[[], None]) -> list:
+    def at(self, time: float, callback: Callable[[], None]) -> EventHandle:
+        """Schedule ``callback`` at absolute ``time``."""
+        now = self.now
+        if not time >= now:  # also rejects NaN
+            raise SimulationError(
+                f"cannot schedule event at {time} before now={now}"
+            )
+        if callback is None:
+            raise SimulationError("event callback must not be None")
         entry = [time, self._seq, callback]
         self._seq += 1
         heap = self._heap
@@ -76,29 +84,26 @@ class Engine:
         pending = len(heap) + (self._deferred is not None)
         if pending > self._peak_pending:
             self._peak_pending = pending
-        return entry
-
-    def at(self, time: float, callback: Callable[[], None]) -> EventHandle:
-        """Schedule ``callback`` at absolute ``time``."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule event at {time} before now={self.now}"
-            )
-        if callback is None:
-            raise SimulationError("event callback must not be None")
-        return EventHandle(self._push(time, callback))
+        return EventHandle(entry)
 
     def after(self, delay: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` after ``delay`` seconds."""
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"negative delay {delay}")
         return self.at(self.now + delay, callback)
 
     def call_after(self, delay: float, callback: Callable[[], None]) -> None:
-        """:meth:`after` for callers that never cancel: no handle."""
-        if delay < 0:
+        """:meth:`after` for callers that never cancel: no handle.  This
+        is the per-event scheduling path, so :meth:`at`'s push is inlined."""
+        if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"negative delay {delay}")
-        self._push(self.now + delay, callback)
+        entry = [self.now + delay, self._seq, callback]
+        self._seq += 1
+        heap = self._heap
+        heapq.heappush(heap, entry)
+        pending = len(heap) + (self._deferred is not None)
+        if pending > self._peak_pending:
+            self._peak_pending = pending
 
     def defer(self, callback: Callable[[], None]) -> None:
         """Run ``callback`` now, in ``after(0.0, callback)`` order, from
@@ -124,28 +129,30 @@ class Engine:
         try:
             while True:
                 callback = self._deferred
-                if callback is not None and (
-                    not heap
-                    or heap[0][_TIME] > self.now
-                    or heap[0][_SEQ] > self._deferred_seq
-                ):
-                    # the deferred slot is next; its time is ``now``
-                    if self.now > limit:
-                        self.now = until
-                        return
-                    self._deferred = None
-                else:
+                if callback is not None:
+                    if heap:
+                        top = heap[0]
+                        if top[_TIME] <= self.now and top[_SEQ] < self._deferred_seq:
+                            callback = None  # the heap top comes first
+                    if callback is not None:
+                        # the deferred slot is next; its time is ``now``
+                        if self.now > limit:
+                            self.now = until
+                            return
+                        self._deferred = None
+                if callback is None:
                     if not heap:
                         return
-                    entry = heap[0]
-                    if entry[_TIME] > limit:
+                    entry = pop(heap)
+                    time = entry[_TIME]
+                    if time > limit:
+                        heapq.heappush(heap, entry)
                         self.now = until
                         return
-                    pop(heap)
                     callback = entry[_CALLBACK]
                     if callback is None:
                         continue
-                    self.now = entry[_TIME]
+                    self.now = time
                 processed += 1
                 if processed > max_events:
                     raise SimulationError(

@@ -11,12 +11,13 @@ Every per-op cost comes from the run's :class:`~repro.sim.optable.CostTable`,
 fault-injected runs included; a live DRAM derate is applied at lookup
 time (see :mod:`repro.sim.optable`).
 
-The event recipes form no reference cycles (a callback never holds a
-reference back to the object that holds it), so a finished run is freed
-by reference counting: an in-flight FIXED/HYBRID operation is a
-:class:`_Kernel` whose bound methods are its callbacks, and the executor
-and fault injector keep no reference to the simulation.  The drain step
-runs in the engine's deferred slot (:meth:`~repro.sim.engine.Engine.defer`).
+A started task runs as one of the event recipes of
+:mod:`repro.sim.recipes`; the drain step runs in the engine's deferred
+slot (:meth:`~repro.sim.engine.Engine.defer`).  The per-event path makes
+few Python calls: the one-line helpers of the tracker, devices, pool and
+engine are inlined into their callers, and a task's ``(model, step)`` key,
+sort key and allowed placements are fixed when it is built.
+``tests/test_engine_call_budget.py`` gates the count.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .devices import FixedPoolExecutor, SlotDevice
 from .engine import Engine
 from .optable import cost_table
 from .policy import SchedulingPolicy
+from .recipes import KernelRun, Phases
 from .results import RunResult
 from .timeline import Timeline, TimelineEntry
 from .tracegen import TaskSpec, generate_trace
@@ -47,9 +49,14 @@ _STAGING_PREFIX = "__staging__"
 _SORT_KEY = attrgetter("sort_key")
 
 #: The three fixed-pool placements share one availability predicate
-#: (``_fixed_available``), so a capacity failure on any of them blocks the
+#: (``_fixed_open``), so a capacity failure on any of them blocks the
 #: whole group for the rest of the drain round.
 _CANON_PLACE = {"hybrid": "fixed", "hybrid_host": "fixed"}
+_FIXED_PLACES = ("fixed", "hybrid", "hybrid_host")
+#: Device of each placement (timeline lane, started/queue-wait key);
+#: ``"staging"`` is the GPU input-staging pseudo-task.
+_DEVICE = {"cpu": "cpu", "gpu": "gpu", "prog": "prog", "staging": "gpu",
+           "fixed": "fixed", "hybrid": "fixed", "hybrid_host": "fixed"}
 
 
 @dataclass(slots=True)
@@ -58,131 +65,34 @@ class _Task:
     step: int
     spec: Optional[TaskSpec]  # None for pseudo-tasks (GPU input staging)
     indeg: int
-    dependents: List[str] = field(default_factory=list)
+    #: ``(model, step)``; ``model`` is the op's ``source_model`` in a
+    #: merged co-run graph.
+    key: Tuple[str, int]
+    #: Scheduling order (priority, step, topo index) — a unique total order.
+    sort_key: Tuple[int, int, int]
+    priority: int = 0
+    #: Preference-ordered placements; fault recovery may rewrite them.
+    places: Tuple[str, ...] = ()
+    #: ``places`` through the profile-aware fallback guard; None until the
+    #: first start attempt of a faulted run.  Degraded tasks bypass the
+    #: guard and use ``places``.
+    allowed: Optional[Tuple[str, ...]] = None
+    dependents: List["_Task"] = field(default_factory=list)
     done: bool = False
     started: bool = False
-    priority: int = 0
     #: Placement chosen at start time (for timeline recording).
     device: Optional[str] = None
     start_s: float = 0.0
     #: When the task's last dependence resolved (queue-wait baseline).
     ready_s: float = 0.0
-    #: Scheduling order (priority, step, topo index) — a unique total order,
-    #: precomputed because the drain loop sorts the ready list every round.
-    sort_key: Tuple[int, int, int] = (0, 0, 0)
-    #: Preference-ordered placements, fixed per task (policies are pure
-    #: per-op once prepared) — precomputed to keep ``_try_start`` cheap.
-    #: Fault recovery may rewrite this (degradation / re-selection).
-    places: Tuple[str, ...] = ()
-    #: ``places`` filtered through the profile-aware fallback guard —
-    #: static while the task is not degraded, computed on first start
-    #: attempt (degraded tasks bypass the guard and use ``places``).
-    allowed: Optional[Tuple[str, ...]] = None
-    #: True once fault recovery rerouted this task off its preferred
-    #: placement; degraded tasks bypass the profile-aware fallback guard
-    #: (completing the step beats the slowdown limit).
+    #: True once fault recovery rerouted the task off its preferred
+    #: placement (completing the step beats the slowdown limit).
     degraded: bool = False
     #: Fixed-pool submission attempts consumed by the retry/backoff loop.
     fault_attempts: int = 0
-    #: Parking generation: heap entries created when the task parked carry
-    #: the then-current value, so bumping it lazily invalidates every
-    #: outstanding entry (a task parks into one heap per placement).
+    #: Parking generation: heap entries carry the value current when the
+    #: task parked, so bumping it invalidates every outstanding entry.
     park_gen: int = 0
-
-
-class _Kernel:
-    """A FIXED or HYBRID operation in flight: its plan rows run in order,
-    each ``"mac"`` row as one fixed-pool sub-kernel.
-
-    The bound methods are the kernel's event, executor and retry
-    callbacks.  Only pending events, waiter lists and in-flight pool jobs
-    hold them, so the kernel is freed by reference counting once it
-    finishes or degrades.
-    """
-
-    __slots__ = ("sim", "task", "rows", "index", "row", "want", "complex_on")
-
-    def __init__(self, sim, task: _Task, rows: List[tuple], complex_on) -> None:
-        self.sim = sim
-        self.task = task
-        self.rows = rows
-        #: Index of the next row; ``row`` is the one in progress.
-        self.index = 0
-        self.row: tuple = ()
-        self.want = task.spec.op.cost.parallelism
-        #: Where complex phases run ("prog" or "cpu"); None for a FIXED op.
-        self.complex_on = complex_on
-
-    def next_row(self) -> None:
-        sim = self.sim
-        i = self.index
-        if i == len(self.rows):
-            sim.fixed.drop_token(self.task.uid)
-            sim.fixed.window_exit()
-            sim._finish(self.task)
-            return
-        self.index = i + 1
-        self.row = row = self.rows[i]
-        sim._timed(SYNC, row[1], self._launched)
-
-    def _launched(self) -> None:
-        row = self.row
-        if row[0] == "cpx":
-            self.sim._run_complex_phase(
-                self.task.uid, row, self.complex_on, self.next_row
-            )
-            return
-        if self.complex_on is not None:
-            self.sim.usage.internal_bytes += row[3]
-        self.submit()
-
-    def submit(self) -> None:
-        """Submit the current MAC row, waiting for units if necessary.
-
-        The sub-kernel counts as compute activity only while it actually
-        holds units; waiting time surfaces as sync/idle in the breakdown.
-        Under fault injection a revoked sub-kernel is retried with capped
-        exponential backoff and the operation degrades (prog PIM, then
-        CPU) when the pool dies or the retry budget runs out.
-        """
-        if self._attempt():
-            return
-        sim = self.sim
-        if sim._injector is not None and sim.fixed.pool.capacity_units == 0:
-            self._on_dead()
-            return
-        sim._fixed_waiters.append((self._attempt, self._on_dead))
-
-    def _attempt(self) -> bool:
-        # table work is valid only at DRAM scale 1.0; each attempt checks
-        # the scale it submits under (a retry can straddle a derate)
-        sim = self.sim
-        _, _, macs, nbytes, work = self.row
-        scale = sim._dram_scale
-        if scale != 1.0:
-            work = sim._table.norm_work(macs, nbytes, scale)
-        if sim.fixed.try_submit(
-            self.task.uid, self.want, self._mac_done, self._on_abort, work=work
-        ):
-            sim.tracker.begin(COMPUTE, sim.engine.now)
-            return True
-        return False
-
-    def _mac_done(self) -> None:
-        sim = self.sim
-        sim.tracker.end(COMPUTE, sim.engine.now)
-        sim.usage.fixed_macs += self.row[2]
-        self.next_row()
-        sim._schedule_drain()  # the sub-kernel's units are back in the pool
-
-    def _on_abort(self) -> None:
-        # revoked mid-flight: the partial compute is lost
-        sim = self.sim
-        sim.tracker.end(COMPUTE, sim.engine.now)
-        sim._retry_or_degrade(self.task, self.submit)
-
-    def _on_dead(self) -> None:
-        self.sim._retry_or_degrade(self.task, self.submit, pool_dead=True)
 
 
 class Simulation:
@@ -229,24 +139,22 @@ class Simulation:
 
         self.engine = Engine()
         self.tracker = ActivityTracker()
-
         self.cpu = SlotDevice(self.engine, "cpu", policy.cpu_slots)
         self.gpu = SlotDevice(self.engine, "gpu", 1)
         self.prog = SlotDevice(self.engine, "prog", self.config.prog_pim.n_pims)
-        pool = FixedPIMPool(self.config.fixed_pim.n_units)
+        self._slot_devices = {"cpu": self.cpu, "gpu": self.gpu, "prog": self.prog}
         #: Per-op costs, shared with every run of the same (graph,
         #: policy, config) and never mutated by this one.
         self._table = cost_table(graph, policy, self.config)
         #: Canonical placements whose capacity was released since the last
-        #: drain scan consumed the set (the fixed-pool trio collapses to
-        #: "fixed"); gates which parked heaps the next scan considers.
+        #: drain consumed the set (the fixed-pool trio collapses to "fixed").
         self._freed: set = set()
         # The executor only marks the pool freed (a callback into this
         # object would be a reference cycle); each caller that can release
         # units schedules the drain itself.
         self.fixed = FixedPoolExecutor(
             engine=self.engine,
-            pool=pool,
+            pool=FixedPIMPool(self.config.fixed_pim.n_units),
             pipeline=policy.operation_pipeline,
             on_units_freed=partial(self._freed.add, "fixed"),
         )
@@ -254,41 +162,32 @@ class Simulation:
         self.usage = DeviceUsage()
         self._tasks: Dict[str, _Task] = {}
         self._ready: List[_Task] = []
-        #: Memoized placement-duration estimates, keyed by (placement, op
-        #: identity) and filled on first query: a run's estimate of an op
-        #: stays what it was then, even if a DRAM derate changes the
-        #: bandwidth later.  Ops live as long as the graph does, so the id
-        #: cannot be reused while the entry is reachable.
-        self._estimate_cache: Dict[Tuple[str, int], float] = {}
-        self._fallback_cache: Dict[Tuple[int, str, str], bool] = {}
+        #: Allowed placements by op identity: the table's scale-1.0 column
+        #: (read only) on a clean run, else filled per op (see _try_start).
+        self._allowed_memo: Dict[int, Tuple[str, ...]] = (
+            self._table.allowed if faults is None else {}
+        )
         self._min_step = 0
         self._step_remaining: Dict[int, int] = {}
         self._step_end: Dict[int, float] = {}
-        self._model_step_remaining: Dict[tuple, int] = {}
+        #: Per-model step accounting of a merged co-run graph; None when
+        #: every task belongs to the graph's own model.
+        self._model_step_remaining: Optional[Dict[tuple, int]] = None
         self._model_step_end: Dict[tuple, float] = {}
         #: Waiters are (attempt, on_dead) pairs: ``attempt`` retries the
         #: submission, ``on_dead`` reroutes the work if the device's
         #: capacity drops to zero while waiting (fault injection).
         self._fixed_waiters: List[Tuple[Callable[[], bool], Callable[[], None]]] = []
-        self._slot_waiters: Dict[
-            str, List[Tuple[Callable[[], bool], Optional[Callable[[], None]]]]
-        ] = {
-            "cpu": [],
-            "prog": [],
-        }
+        self._slot_waiters: Dict[str, list] = {"cpu": [], "gpu": [], "prog": []}
         self._drain_scheduled = False
         self._drain_rounds = 0
-        #: Tasks that failed a start attempt, parked off the ready list in
-        #: one sort-ordered heap per canonical placement they could use.
-        #: A capacity release re-examines only the best parked task of the
-        #: freed placement instead of re-testing every waiter.  Entries
-        #: are ``(sort_key, park_gen, task)``; sort_key is a unique total
-        #: order, stale entries are dropped lazily on pop (gen mismatch).
+        #: Tasks that failed (or provably would fail) a start attempt,
+        #: parked off the ready list in one heap per canonical placement
+        #: they could use: a release re-examines only the best parked task
+        #: of the freed placement.  Entries are ``(sort_key, park_gen,
+        #: task)``; stale ones are dropped lazily on pop (gen mismatch).
         self._parked: Dict[str, List[tuple]] = {
-            "cpu": [],
-            "gpu": [],
-            "prog": [],
-            "fixed": [],
+            "cpu": [], "gpu": [], "prog": [], "fixed": []
         }
         self._tasks_started: Dict[str, int] = {}
         self._queue_wait: Dict[str, float] = {}
@@ -311,69 +210,74 @@ class Simulation:
     # task-graph construction
     # ------------------------------------------------------------------
     def _build_tasks(self) -> None:
-        specs = generate_trace(self.graph, self.steps)
+        """One task per trace entry, from per-op columns.
+
+        The trace lists every op once per step in the same topological
+        order, so what a task takes from its op — table priority,
+        placements and allowed placements, and its source model's
+        ``(model, step)`` keys — is looked up once per op, on step 0.  A
+        dependence always names an earlier trace entry, so dependents are
+        wired as the tasks are created.
+        """
+        graph = self.graph
+        steps = self.steps
+        specs = generate_trace(graph, steps)
         table = self._table
-        for spec in specs:
-            oid = id(spec.op)
-            priority = table.priority[oid]
-            places = table.places[oid]
-            self._tasks[spec.uid] = _Task(
-                uid=spec.uid,
-                step=spec.step,
-                spec=spec,
-                indeg=len(spec.deps),
-                priority=priority,
-                sort_key=(priority, spec.step, spec.topo_index),
-                places=places,
+        allowed = self._allowed_memo
+        name = graph.name
+        n_ops = len(specs) // steps
+        keys = {name: [(name, step) for step in range(steps)]}
+        per_model: Dict[str, int] = {}
+        columns = {}
+        for spec in specs[:n_ops]:
+            op = spec.op
+            oid = id(op)
+            model = str(op.attrs.get("source_model", name))
+            if model not in keys:
+                keys[model] = [(model, step) for step in range(steps)]
+            per_model[model] = per_model.get(model, 0) + 1
+            columns[oid] = (
+                table.priority[oid], table.places[oid], allowed.get(oid),
+                keys[model],
             )
+        tasks = self._tasks
         for spec in specs:
+            priority, places, op_allowed, model_keys = columns[id(spec.op)]
+            step = spec.step
+            task = _Task(
+                spec.uid, step, spec, len(spec.deps), model_keys[step],
+                (priority, step, spec.topo_index), priority, places, op_allowed,
+            )
+            tasks[spec.uid] = task
             for dep in spec.deps:
-                self._tasks[dep].dependents.append(spec.uid)
-        if self.policy.uses_gpu and self.graph.input_bytes > 0:
-            self._add_staging_tasks(specs)
-        for task in self._tasks.values():
-            self._step_remaining[task.step] = (
-                self._step_remaining.get(task.step, 0) + 1
-            )
-            model = self._task_model(task)
-            key = (model, task.step)
-            self._model_step_remaining[key] = (
-                self._model_step_remaining.get(key, 0) + 1
-            )
-            if task.indeg == 0:
-                self._ready.append(task)
-
-    def _add_staging_tasks(self, specs: List[TaskSpec]) -> None:
-        """One host->device staging pseudo-task per step; the step's entry
-        operations wait for it (the minibatch — and any swapped-out
-        activations of an over-capacity working set — must be resident)."""
-        # Entry operations (no intra-step dependence) are step-invariant:
-        # an op's intra-step deps are exactly its graph predecessors, so
-        # the set is computed once instead of rescanning every step's
-        # specs (the scan was quadratic in steps x ops).  Iteration stays
-        # in spec order, so dependent order — and thus scheduling — is
-        # unchanged.
-        entry_ops = [
-            spec.uid.split("/", 1)[1]
-            for spec in specs
-            if spec.step == 0 and not any(d.startswith("s0/") for d in spec.deps)
-        ]
-        for step in range(self.steps):
-            uid = f"s{step}/{_STAGING_PREFIX}"
-            staging = _Task(
-                uid=uid, step=step, spec=None, indeg=0,
-                sort_key=(0, step, -1),
-            )
-            self._tasks[uid] = staging
-            for op_name in entry_ops:
-                task = self._tasks[f"s{step}/{op_name}"]
-                task.indeg += 1
-                staging.dependents.append(task.uid)
-
-    def _task_model(self, task: _Task) -> str:
-        if task.spec is None:
-            return self.graph.name
-        return str(task.spec.op.attrs.get("source_model", self.graph.name))
+                tasks[dep].dependents.append(task)
+        per_step = n_ops
+        if self.policy.uses_gpu and graph.input_bytes > 0:
+            # One host->device staging pseudo-task per step; the step's
+            # entry operations (the step-0 specs without dependences, at
+            # the same trace position every step) wait for it: the
+            # minibatch — and any swapped-out activations of an
+            # over-capacity working set — must be resident.
+            entries = [i for i, spec in enumerate(specs[:n_ops]) if not spec.deps]
+            order = list(tasks.values())
+            for step in range(steps):
+                uid = f"s{step}/{_STAGING_PREFIX}"
+                staging = _Task(uid, step, None, 0, keys[name][step], (0, step, -1))
+                tasks[uid] = staging
+                for i in entries:
+                    task = order[step * n_ops + i]
+                    task.indeg += 1
+                    staging.dependents.append(task)
+            per_model[name] = per_model.get(name, 0) + 1
+            per_step += 1
+        self._step_remaining = dict.fromkeys(range(steps), per_step)
+        if list(per_model) != [name]:
+            self._model_step_remaining = {
+                key: count
+                for model, count in per_model.items()
+                for key in keys[model]
+            }
+        self._ready = [task for task in tasks.values() if task.indeg == 0]
 
     # ------------------------------------------------------------------
     # main loop
@@ -397,19 +301,11 @@ class Simulation:
             check_simulation(self, result)
         return result
 
-    @property
-    def _min_unfinished_step(self) -> int:
-        # maintained incrementally by _finish; steps only ever complete
-        return self._min_step
-
-    def _admissible(self, task: _Task) -> bool:
-        return task.step <= self._min_step + self.policy.pipeline_depth
-
     def _schedule_drain(self) -> None:
-        if self._drain_scheduled:
-            return
-        self._drain_scheduled = True
-        self.engine.defer(self._drain)
+        # inlined on the per-event paths (_finish, _release_slot, _mac_done)
+        if not self._drain_scheduled:
+            self._drain_scheduled = True
+            self.engine.defer(self._drain)
 
     def _unpark_all(self) -> None:
         """Return every parked task to the ready list (placement rewrite:
@@ -423,9 +319,8 @@ class Simulation:
             heap.clear()
 
     def _park(self, task: _Task, places: Tuple[str, ...]) -> None:
-        """Park a task that just failed (or provably would fail) a start
-        attempt: one heap entry per canonical placement, so any placement's
-        release can rediscover it in scheduling order."""
+        """One heap entry per placement, so any placement's release can
+        rediscover the task in scheduling order."""
         task.park_gen += 1
         entry = (task.sort_key, task.park_gen, task)
         parked = self._parked
@@ -433,73 +328,116 @@ class Simulation:
             heappush(parked[_CANON_PLACE.get(p, p)], entry)
 
     def _drain(self) -> None:
+        """One scheduling round.
+
+        A failed start attempt has no side effects, and a placement's
+        availability test is the same for every task (a pure capacity
+        check; a background task also yields the programmable PIM to
+        waiting complex phases, but those wait only while it is full).  So
+        only a freed placement can start a parked task, and one that is
+        full again by now (a waiting complex phase or an OP expansion took
+        the capacity) enters the round as blocked.
+        """
         self._drain_scheduled = False
         self._drain_rounds += 1
         freed = self._freed
+        if self._fixed_waiters and "fixed" in freed:
+            self._retry_fixed_waiters()
+        active: Dict[str, List[tuple]] = {}
+        blocked: set = set()
+        if freed:
+            parked = self._parked
+            slot_devices = self._slot_devices
+            for p in freed:
+                h = parked[p]
+                if h:
+                    device = slot_devices.get(p)
+                    if self._fixed_open() if device is None else device.free_slots:
+                        active[p] = h
+                    else:
+                        blocked.add(p)
+            freed.clear()
+        ready = self._ready
+        if not ready:  # the commonest round
+            if active:
+                self._scan([], active, blocked, None)
+            return
+        self._ready = []
+        if active or len(ready) > 1:
+            ready.sort(key=_SORT_KEY)
+            self._scan(ready, active, blocked, None)
+            return
+        # the next commonest: one ready task and no parked candidate
+        task = ready[0]
+        if task.started:
+            return
+        if task.step > self._min_step + self.policy.pipeline_depth:
+            self._ready.append(task)
+            return
+        places = task.places if task.degraded else task.allowed
+        if blocked and places:
+            for p in places:
+                if _CANON_PLACE.get(p, p) not in blocked:
+                    break
+            else:
+                self._park(task, places)
+                return
+        if self._try_start(task):
+            task.started = True
+            if freed:  # released synchronously inside the start
+                self._scan([], active, blocked, task.sort_key)
+        else:
+            self._park(task, task.places if task.degraded else task.allowed)
+
+    def _retry_fixed_waiters(self) -> None:
         # Retry mid-kernel sub-kernel submissions first (they hold
         # devices), but only once the pool has released capacity: a failed
         # submission has no side effects and capacity never grows back, so
         # a retry with no release since the last one would fail again.
         # Every release, token drop and unit loss marks "fixed" freed.
-        if self._fixed_waiters and "fixed" in freed:
-            waiters, self._fixed_waiters = self._fixed_waiters, []
-            pool = self.fixed.pool
-            for k, (attempt, on_dead) in enumerate(waiters):
-                if pool.free_units == 0 and pool.capacity_units > 0:
-                    # full (OP expansion took the units): the rest would
-                    # fail and wait on, in order
-                    self._fixed_waiters.extend(waiters[k:])
-                    break
-                if attempt():
-                    continue
-                if self._injector is not None and pool.capacity_units == 0:
-                    on_dead()  # pool died while queued: degrade, don't hang
-                else:
-                    self._fixed_waiters.append((attempt, on_dead))
-        # Failed start attempts are side-effect-free and every placement's
-        # availability predicate is task-independent (a pure capacity
-        # check), so a task that failed cannot start until capacity is
-        # released on one of its placements.  Such tasks are parked off
-        # the ready list into per-placement heaps; a release marks the
-        # placement freed, and the scan below merges the *best* parked
-        # task of each freed placement with the sorted ready batch instead
-        # of re-testing every waiter.  Single-pass semantics are kept: the
-        # merge visits candidates in exactly the ready-list sort order, a
-        # parked task skipped this round would have failed anyway (its
-        # placements stayed exhausted), and the position check below keeps
-        # the scan single-pass per round like the original drain.
-        if not self._ready and not freed:
-            return
-        # Swap the ready list out before iterating: synchronous completions
-        # inside _try_start append newly-unblocked tasks to self._ready,
-        # which the next drain round picks up (same semantics as iterating
-        # a snapshot).  sort_key is a unique total order, so the rebuilt
-        # leftover list is deterministic regardless of insertion order.
-        batch = self._ready
-        self._ready = []
-        batch.sort(key=_SORT_KEY)
-        leftover: List[_Task] = []
-        depth = self.policy.pipeline_depth
+        waiters, self._fixed_waiters = self._fixed_waiters, []
+        pool = self.fixed.pool
+        for k, (attempt, on_dead) in enumerate(waiters):
+            if pool.free_units == 0 and pool.capacity_units > 0:
+                # full (OP expansion took the units): the rest would
+                # fail and wait on, in order
+                self._fixed_waiters.extend(waiters[k:])
+                break
+            if attempt():
+                continue
+            if self._injector is not None and pool.capacity_units == 0:
+                on_dead()  # pool died while queued: degrade, don't hang
+            else:
+                self._fixed_waiters.append((attempt, on_dead))
+
+    def _scan(self, batch: List[_Task], active: Dict[str, List[tuple]],
+              blocked: set, pos) -> None:
+        """Visit the sorted ready ``batch`` merged with the best parked
+        tasks of the ``active`` heaps, in sort order; ``blocked`` holds the
+        canonical placements known to be full, ``pos`` the sort key of the
+        last candidate visited this round (or None).  Single pass: a parked
+        task found *behind* ``pos`` (its placement freed mid-round) already
+        failed at its own position, so it waits for the next round.
+        """
+        freed = self._freed
         parked = self._parked
-        #: Canonical placements proven capacity-exhausted this scan.
-        blocked: set = set()
-        #: Heaps of freed placements still worth pulling from.
-        active: Dict[str, List[tuple]] = {}
-        for p in freed:
-            h = parked[p]
-            if h:
-                active[p] = h
-        freed.clear()
+        slot_devices = self._slot_devices
+        depth = self.policy.pipeline_depth
+        leftover: List[_Task] = []
         i = 0
         n = len(batch)
-        #: Sort key of the last candidate visited — the merge's position.
-        #: A parked task rediscovered *behind* this position was already
-        #: visited (and failed) at its own position this round; attempting
-        #: it now would double-visit, so it defers to the next round.
-        pos = None
         while True:
-            # Drop stale heap tops, withdraw exhausted heaps, and find the
-            # best parked candidate among the freed placements.
+            if freed:
+                # released synchronously inside a start: later candidates
+                # may use it this round, as in a plain single-pass drain
+                for p in freed:
+                    blocked.discard(p)
+                    h = parked[p]
+                    if h:
+                        active[p] = h
+                freed.clear()
+            # drop stale heap tops, withdraw exhausted heaps, and find the
+            # best parked candidate
             best_place = None
             best_key = None
             if active:
@@ -532,67 +470,46 @@ class Simulation:
                         if _CANON_PLACE.get(p, p) not in blocked:
                             break
                     else:
-                        # provably would fail: every placement exhausted
-                        self._park(task, places)
+                        self._park(task, places)  # provably would fail
                         continue
-                if self._try_start(task):
-                    task.started = True
-                    if freed:
-                        # a zero-duration activity chain inside the start
-                        # released capacity synchronously: later candidates
-                        # may use it this round, exactly as in a plain
-                        # single-pass drain
-                        for p in freed:
-                            blocked.discard(p)
-                            h = parked[p]
-                            if h:
-                                active[p] = h
-                        freed.clear()
-                else:
+                if not self._try_start(task):
                     places = task.places if task.degraded else task.allowed
-                    if places:
-                        self._park(task, places)
-                        for p in places:
-                            cp = _CANON_PLACE.get(p, p)
-                            blocked.add(cp)
-                            active.pop(cp, None)
-                    else:  # pragma: no cover - placements are never empty
-                        leftover.append(task)
-                continue
-            if best_place is None:
+                    self._park(task, places)
+                    for p in places:
+                        cp = _CANON_PLACE.get(p, p)
+                        blocked.add(cp)
+                        active.pop(cp, None)
+                    continue
+            elif best_place is None:
                 break
-            h = active[best_place]
-            entry = heappop(h)
-            task = entry[2]
-            if pos is not None and best_key < pos:
-                # The placement freed mid-round, after the merge already
-                # passed this task's position — where it was (or would
-                # have been) visited and failed.  Single-pass semantics:
-                # retry from the ready list next round.
-                task.park_gen += 1
-                self._ready.append(task)
-                continue
-            pos = best_key
-            # Parked tasks stay admissible: they passed the pipeline-depth
-            # gate when parked and _min_step only ever advances.
-            if self._try_start(task):
-                task.started = True
-                task.park_gen += 1
-                if freed:
-                    for p in freed:
-                        blocked.discard(p)
-                        hh = parked[p]
-                        if hh:
-                            active[p] = hh
-                    freed.clear()
             else:
-                # capacity re-exhausted: stop pulling from its placements
-                heappush(h, entry)
-                places = task.places if task.degraded else task.allowed
-                for p in places:
-                    cp = _CANON_PLACE.get(p, p)
-                    blocked.add(cp)
-                    active.pop(cp, None)
+                h = active[best_place]
+                entry = heappop(h)
+                task = entry[2]
+                if pos is not None and best_key < pos:
+                    task.park_gen += 1
+                    self._ready.append(task)
+                    continue
+                pos = best_key
+                # parked tasks passed the pipeline-depth gate when parked,
+                # and _min_step only ever advances
+                if not self._try_start(task):
+                    # capacity re-exhausted: stop pulling from its placements
+                    heappush(h, entry)
+                    places = task.places if task.degraded else task.allowed
+                    for p in places:
+                        cp = _CANON_PLACE.get(p, p)
+                        blocked.add(cp)
+                        active.pop(cp, None)
+                    continue
+                task.park_gen += 1
+            task.started = True
+            place = task.device
+            device = slot_devices.get(place)
+            if not (self._fixed_open() if device is None else device.free_slots):
+                # the start took the last of it: a next candidate would fail
+                blocked.add(place)
+                active.pop(place, None)
         self._ready.extend(leftover)
 
     def _finish(self, task: _Task) -> None:
@@ -612,182 +529,167 @@ class Simulation:
                     ready_s=task.ready_s,
                 )
             )
-        remaining = self._step_remaining[task.step] - 1
-        self._step_remaining[task.step] = remaining
+        step_remaining = self._step_remaining
+        step = task.step
+        remaining = step_remaining[step] - 1
+        step_remaining[step] = remaining
         if remaining == 0:
-            self._step_end[task.step] = now
+            self._step_end[step] = now
             while (
                 self._min_step < self.steps
-                and self._step_remaining.get(self._min_step, 0) == 0
+                and step_remaining.get(self._min_step, 0) == 0
             ):
                 self._min_step += 1
-        key = (self._task_model(task), task.step)
-        self._model_step_remaining[key] -= 1
-        if self._model_step_remaining[key] == 0:
-            self._model_step_end[key] = now
-        tasks = self._tasks
+        model_remaining = self._model_step_remaining
+        if model_remaining is not None:
+            key = task.key
+            remaining = model_remaining[key] - 1
+            model_remaining[key] = remaining
+            if remaining == 0:
+                self._model_step_end[key] = now
         ready = self._ready
-        for dep_uid in task.dependents:
-            dependent = tasks[dep_uid]
+        for dependent in task.dependents:
             dependent.indeg -= 1
             if dependent.indeg == 0:
                 dependent.ready_s = now
                 ready.append(dependent)
-        self._schedule_drain()
+        if not self._drain_scheduled:
+            self._drain_scheduled = True
+            self.engine.defer(self._drain)
 
     # ------------------------------------------------------------------
     # placement dispatch
     # ------------------------------------------------------------------
-    def _fixed_available(self, uid: str) -> bool:
+    def _fixed_open(self) -> bool:
+        """Whether the fixed pool can take a new kernel now."""
+        fixed = self.fixed
         if self._injector is not None:
             # runtime reaction, paper Figure 7: consult the idle/busy
             # register file before dispatching to the fixed pool
-            if self.fixed.pool.capacity_units == 0:
+            if fixed.pool.capacity_units == 0:
                 return False
             if not self._registers.snapshot().any_fixed_idle:
                 return False
         if self.policy.operation_pipeline:
-            return self.fixed.pool.free_units > 0
-        return self.fixed.token_holder is None
-
-    # ------------------------------------------------------------------
-    # placement cost estimates (used for the profile-aware CPU fallback)
-    # ------------------------------------------------------------------
-    def _estimate(self, place: str, op) -> float:
-        """Rough duration estimate of ``op`` on ``place`` (ignoring queueing).
-
-        Memoized per (place, op) at the first query: the estimate
-        deliberately ignores live queue state, and the DRAM scale is
-        the one live at that query.
-        """
-        key = (place, id(op))
-        cached = self._estimate_cache.get(key)
-        if cached is None:
-            cached = self._table.estimate(place, op, self._dram_scale)
-            self._estimate_cache[key] = cached
-        return cached
-
-    def _fallback_allowed(self, op, place: str, preferred: str) -> bool:
-        """Principle 2, profile-aware: spill to a secondary placement only
-        when it is not dramatically slower than the (busy) preferred one —
-        the runtime knows both costs from step-1 profiling."""
-        key = (id(op), place, preferred)
-        cached = self._fallback_cache.get(key)
-        if cached is None:
-            limit = self.config.runtime.cpu_fallback_slowdown_limit
-            preferred_estimate = self._estimate(preferred, op)
-            cached = preferred_estimate <= 0 or (
-                self._estimate(place, op) <= limit * preferred_estimate
-            )
-            self._fallback_cache[key] = cached
-        return cached
-
-    def _allowed_places(self, task: _Task) -> Tuple[str, ...]:
-        """``task.places`` filtered through the profile-aware fallback
-        guard (principle 2).  The guard's verdicts are memoized for the
-        whole run, so the surviving list is static per non-degraded task
-        and computed once instead of on every retry round."""
-        places = task.places
-        if not places:  # unplaceable: let the deadlock detector report it
-            task.allowed = ()
-            return ()
-        first = places[0]
-        op = task.spec.op
-        allowed = tuple(
-            p
-            for p in places
-            if p == first or self._fallback_allowed(op, p, first)
-        )
-        task.allowed = allowed
-        return allowed
+            return fixed.pool.free_units > 0
+        return fixed.token_holder is None
 
     def _try_start(self, task: _Task) -> bool:
-        if task.spec is None:
-            self._mark_started(task, "gpu")
-            self._start_staging(task)
-            return True
-        op = task.spec.op
-        if task.degraded:
-            # degraded tasks bypass the fallback guard: completing the
-            # step beats the slowdown limit
-            places = task.places
+        spec = task.spec
+        if spec is None:
+            place = "staging"
         else:
-            places = task.allowed
-            if places is None:
-                places = self._allowed_places(task)
-        # A deprioritized (co-run tenant) task only consumes *idle* capacity:
-        # it never jumps ahead of primary work queued for a device (the
-        # ready list is already priority-ordered, so primary tasks get the
-        # first claim on freed slots each scheduling round).
-        background = task.priority > 0
-        for place in places:
-            if place == "cpu":
-                if self.cpu.try_acquire():
-                    self._mark_started(task, "cpu")
-                    self._start_cpu(task)
-                    return True
-            elif place == "gpu":
-                if self.gpu.try_acquire():
-                    self._mark_started(task, "gpu")
-                    self._start_gpu(task)
-                    return True
-            elif place == "prog":
-                if background and self._slot_waiters["prog"]:
-                    continue
-                free = self.prog.free_slots
-                if free > 0:
-                    gang = min(self._table.gang[id(op)], free)
-                    if self.prog.try_acquire(gang):
-                        self._mark_started(task, "prog")
-                        self._start_prog(task, gang)
-                        return True
-            elif place == "fixed":
-                if self._fixed_available(task.uid):
-                    if not self.fixed.try_take_token(task.uid):
+            if task.degraded:
+                places = task.places
+            else:
+                places = task.allowed
+                if places is None:
+                    # A faulted run guards each op at its first start
+                    # attempt, at the DRAM scale live then; only
+                    # non-degraded tasks use the guard, and their
+                    # placements are the op's table placements.
+                    oid = id(spec.op)
+                    memo = self._allowed_memo
+                    places = memo.get(oid)
+                    if places is None:
+                        table = self._table
+                        places = memo[oid] = table.guarded(
+                            spec.op, table.places[oid], self._dram_scale
+                        )
+                    task.allowed = places
+            # A deprioritized (co-run tenant) task only consumes *idle*
+            # capacity: it never jumps ahead of primary work queued for a
+            # device (the ready list is already priority-ordered, so primary
+            # tasks get the first claim on freed slots each round).
+            background = task.priority > 0
+            for place in places:
+                if place == "cpu":
+                    if self.cpu.try_acquire():
+                        break
+                elif place == "gpu":
+                    if self.gpu.try_acquire():
+                        break
+                elif place == "prog":
+                    if background and self._slot_waiters["prog"]:
                         continue
-                    self._mark_started(task, "fixed")
-                    self._start_fixed(task)
-                    return True
-            elif place in ("hybrid", "hybrid_host"):
-                if self._fixed_available(task.uid):
-                    if not self.fixed.try_take_token(task.uid):
-                        continue
-                    self._mark_started(task, "fixed")
-                    self._start_hybrid(
-                        task, complex_on="prog" if place == "hybrid" else "cpu"
-                    )
-                    return True
-        return False
-
-    def _mark_started(self, task: _Task, device: str) -> None:
-        task.device = device
+                    prog = self.prog
+                    free = prog.free_slots
+                    if free > 0:
+                        gang = min(self._table.gang[id(spec.op)], free)
+                        if prog.try_acquire(gang):
+                            break
+                elif place in _FIXED_PLACES:
+                    # in exclusive (no-OP) mode the kernel takes the token
+                    if self._fixed_open() and self.fixed.try_take_token(task.uid):
+                        break
+            else:
+                return False
+        device = _DEVICE[place]
         now = self.engine.now
+        task.device = device
         task.start_s = now
-        self._tasks_started[device] = self._tasks_started.get(device, 0) + 1
+        started = self._tasks_started
+        started[device] = started.get(device, 0) + 1
         wait = now - task.ready_s
         if wait > 0:
             self._queue_wait[device] = self._queue_wait.get(device, 0.0) + wait
+        table = self._table
+        usage = self.usage
+        if place == "cpu":
+            op = spec.op
+            operation_s, exposed_s = table.cpu[id(op)]
+            usage.external_bytes += op.host_traffic_bytes
+            recipe = (COMPUTE, operation_s, DATA_MOVEMENT, exposed_s)
+            slots = 1
+        elif place == "gpu":
+            op = spec.op
+            recipe = (COMPUTE, table.gpu_total[id(op)])
+            usage.gpu_bytes += op.traffic_bytes
+            slots = 1
+        elif place == "prog":
+            # whole kernel on ``gang`` programmable PIM(s) (binary #4): the
+            # Progr-PIM baseline gangs several ARM PIMs on one wide
+            # operation ("as many ARM-based programmable cores as needed",
+            # section VI); the heterogeneous system uses a single PIM
+            op = spec.op
+            flops, full_gang, duration, traffic = table.prog[id(op)]
+            scale = self._dram_scale
+            if gang != full_gang or scale != 1.0:
+                duration = table.prog_phase(flops / gang, traffic, scale)
+            usage.internal_bytes += op.traffic_bytes
+            launch_s = self.config.prog_pim.host_launch_overhead_s
+            recipe = (SYNC, launch_s, COMPUTE, duration)
+            slots = gang
+        elif place == "staging":
+            usage.external_bytes += self.graph.input_bytes
+            recipe = (DATA_MOVEMENT, table.staging_s)
+            slots = 0
+        else:
+            self._start_kernel(task, place)
+            return True
+        device = self._slot_devices.get(device) if slots else None
+        Phases(self, recipe, device, slots, partial(self._finish, task)).run()
+        return True
 
-    # ------------------------------------------------------------------
-    # executor-slot waiting (complex phases acquire slots mid-kernel)
-    # ------------------------------------------------------------------
-    def _acquire_slot(
-        self,
-        device: SlotDevice,
-        then: Callable[[], None],
-        on_dead: Optional[Callable[[], None]] = None,
-    ) -> None:
-        def attempt() -> bool:
-            if device.try_acquire():
-                then()
-                return True
-            return False
-
-        if not attempt():
-            if on_dead is not None and device.effective_slots == 0:
-                on_dead()
-                return
-            self._slot_waiters[device.name].append((attempt, on_dead))
+    def _start_kernel(self, task: _Task, place: str) -> None:
+        """A FIXED op ("fixed": host-coordinated MAC chunks on the pool) or
+        a HYBRID op as a recursive PIM kernel (Figure 6), its complex phases
+        on the programmable PIM ("hybrid") or the host CPU ("hybrid_host",
+        the Fixed-PIM baseline).  A complex phase holds an executor slot for
+        its own duration only; orchestrating the sub-kernels holds none (the
+        PIM-side runtime is an event loop — section IV-C).  Each phase first
+        pays its launch cost: one micro-kernel dispatch per sub-kernel quota
+        for MAC phases, one for complex phases; the first (and, without
+        recursive kernels, every) dispatch is a host round trip."""
+        op = task.spec.op
+        self.fixed.window_enter()
+        if place == "fixed":
+            self.usage.internal_bytes += op.traffic_bytes
+            kernel = KernelRun(self, task, self._table.fixed_plan[id(op)], None)
+        else:
+            complex_on = "prog" if place == "hybrid" else "cpu"
+            kernel = KernelRun(self, task, self._table.hybrid_plan[id(op)], complex_on)
+        kernel.next_row()
 
     def _release_slot(self, device: SlotDevice, n: int = 1) -> None:
         device.release(n)
@@ -798,116 +700,13 @@ class Simulation:
             if not attempt():
                 waiters.insert(0, (attempt, on_dead))
                 break
-        self._schedule_drain()
+        if not self._drain_scheduled:
+            self._drain_scheduled = True
+            self.engine.defer(self._drain)
 
     # ------------------------------------------------------------------
-    # activity helpers
+    # fault reaction (capacity changes; see repro.faults)
     # ------------------------------------------------------------------
-    def _timed(self, kind: str, duration: float, then: Callable[[], None]) -> None:
-        """Run an activity of ``kind`` for ``duration``, then continue."""
-        if duration <= 0:
-            then()
-            return
-        self.tracker.begin(kind, self.engine.now)
-
-        def _end() -> None:
-            self.tracker.end(kind, self.engine.now)
-            then()
-
-        self.engine.call_after(duration, _end)
-
-    # ------------------------------------------------------------------
-    # execution recipes
-    # ------------------------------------------------------------------
-    def _start_staging(self, task: _Task) -> None:
-        self.usage.external_bytes += self.graph.input_bytes
-        self._timed(
-            DATA_MOVEMENT, self._table.staging_s, lambda: self._finish(task)
-        )
-
-    def _start_cpu(self, task: _Task) -> None:
-        op = task.spec.op
-        operation_s, exposed_s = self._table.cpu[id(op)]
-        self.usage.external_bytes += op.host_traffic_bytes
-
-        def _after_compute() -> None:
-            def _done() -> None:
-                self._release_slot(self.cpu)
-                self._finish(task)
-
-            self._timed(DATA_MOVEMENT, exposed_s, _done)
-
-        self._timed(COMPUTE, operation_s, _after_compute)
-
-    def _start_gpu(self, task: _Task) -> None:
-        op = task.spec.op
-        total_s = self._table.gpu_total[id(op)]
-        self.usage.gpu_bytes += op.traffic_bytes
-
-        def _done() -> None:
-            self.gpu.release()
-            self._freed.add("gpu")
-            self._finish(task)
-
-        self._timed(COMPUTE, total_s, _done)
-
-    def _start_prog(self, task: _Task, gang: int = 1) -> None:
-        """Whole kernel on ``gang`` programmable PIM(s) (binary #4).
-
-        The Progr-PIM baseline gangs several ARM PIMs on one wide
-        operation ("as many ARM-based programmable cores as needed",
-        section VI); the heterogeneous system uses a single PIM.
-        """
-        op = task.spec.op
-        flops, full_gang, full_duration, traffic = self._table.prog[id(op)]
-        scale = self._dram_scale
-        if gang == full_gang and scale == 1.0:
-            duration = full_duration
-        else:
-            duration = self._table.prog_phase(flops / gang, traffic, scale)
-        self.usage.internal_bytes += op.traffic_bytes
-
-        def _after_launch() -> None:
-            def _done() -> None:
-                self._release_slot(self.prog, gang)
-                self._finish(task)
-
-            self._timed(COMPUTE, duration, _done)
-
-        self._timed(
-            SYNC, self.config.prog_pim.host_launch_overhead_s, _after_launch
-        )
-
-    def _retry_or_degrade(
-        self, task: _Task, resubmit: Callable[[], None], pool_dead: bool = False
-    ) -> None:
-        """React to an aborted fixed-pool sub-kernel (fault injection).
-
-        Retries with capped exponential backoff while the pool has
-        capacity and the retry budget lasts; otherwise degrades the whole
-        operation to the programmable PIM (or the CPU).
-        """
-        spec = self.faults
-        task.fault_attempts += 1
-        can_retry = (
-            not pool_dead
-            and self.fixed.pool.capacity_units > 0
-            and task.fault_attempts <= spec.max_retries
-        )
-        if can_retry:
-            delay = spec.backoff_s(task.fault_attempts)
-            self._injector.log_retry(
-                self.engine.now, task.uid, task.fault_attempts, delay
-            )
-            self._timed(SYNC, delay, resubmit)
-            return
-        self._degrade_fixed_task(task)
-
-    def _degraded_places(self) -> Tuple[str, ...]:
-        if self.prog.effective_slots > 0:
-            return ("prog", "cpu")
-        return ("cpu",)
-
     def _degrade_fixed_task(self, task: _Task) -> None:
         """Unwind a fixed/hybrid operation and re-place it entirely.
 
@@ -918,7 +717,7 @@ class Simulation:
         self.fixed.drop_token(task.uid)
         self.fixed.window_exit()
         now = self.engine.now
-        places = self._degraded_places()
+        places = ("prog", "cpu") if self.prog.effective_slots > 0 else ("cpu",)
         self._injector.log_degradation(
             now, task.uid, task.device or "fixed", places[0]
         )
@@ -934,13 +733,6 @@ class Simulation:
         task.fault_attempts = 0
         self._ready.append(task)
         self._schedule_drain()
-
-    # ------------------------------------------------------------------
-    # fault reaction (capacity changes; see repro.faults)
-    # ------------------------------------------------------------------
-    def _set_dram_scale(self, scale: float) -> None:
-        """Apply a DRAM-timing derate to newly issued streaming phases."""
-        self._dram_scale = scale
 
     def _on_prog_lost(self, pims: int) -> int:
         """Shrink the programmable-PIM cluster; reroute dead waiters."""
@@ -971,7 +763,7 @@ class Simulation:
             return
         dead_places = set()
         if fixed_dead:
-            dead_places.update(("fixed", "hybrid", "hybrid_host"))
+            dead_places.update(_FIXED_PLACES)
         if prog_dead:
             dead_places.add("prog")
         retargeted = 0
@@ -995,85 +787,6 @@ class Simulation:
             self._unpark_all()
             if self._injector is not None:
                 self._injector.log_reselection(self.engine.now, retargeted)
-
-    def _start_fixed(self, task: _Task) -> None:
-        """FIXED-class op: host-coordinated MAC chunks on the pool."""
-        op = task.spec.op
-        self.usage.internal_bytes += op.traffic_bytes
-        self.fixed.window_enter()
-        _Kernel(self, task, self._table.fixed_plan[id(op)], None).next_row()
-
-    def _start_hybrid(self, task: _Task, complex_on: str) -> None:
-        """HYBRID op as a recursive PIM kernel (Figure 6).
-
-        ``complex_on`` selects where the complex phases run: the
-        programmable PIM ("prog", Hetero configurations) or the host CPU
-        ("cpu", the Fixed-PIM baseline).  Complex phases acquire an
-        executor slot for their own duration only; the orchestration of
-        MAC sub-kernels does not occupy a compute slot (the PIM-side
-        runtime is an event loop, able to manage many in-flight recursive
-        kernels — section IV-C).  Each phase first pays its launch cost:
-        MAC phases one micro-kernel dispatch per sub-kernel quota, complex
-        phases one dispatch; the first (and, without recursive kernels,
-        every) dispatch is a host round trip.
-        """
-        rows = self._table.hybrid_plan[id(task.spec.op)]
-        self.fixed.window_enter()
-        _Kernel(self, task, rows, complex_on).next_row()
-
-    def _run_complex_phase(
-        self, uid: str, row: tuple, complex_on: str, then: Callable[[], None]
-    ) -> None:
-        """Execute one COMPLEX phase (a ``cpx`` plan row) on its device,
-        waiting for a slot.
-
-        Under fault injection a complex phase targeting a dead (or dying)
-        programmable PIM degrades to the host CPU instead of stranding the
-        recursive kernel.
-        """
-        _, _, prog_s, operation_s, exposed_s, nbytes, flops = row
-        if complex_on == "prog":
-            def fall_back_to_cpu() -> None:
-                if self._injector is not None:
-                    self._injector.log_degradation(
-                        self.engine.now, uid, "prog", "cpu"
-                    )
-                self._run_complex_phase(uid, row, "cpu", then)
-
-            if self.prog.effective_slots == 0:
-                fall_back_to_cpu()
-                return
-            scale = self._dram_scale
-            duration = (
-                prog_s
-                if scale == 1.0
-                else self._table.prog_phase(flops, nbytes, scale)
-            )
-
-            def run_on_prog() -> None:
-                self.usage.internal_bytes += nbytes
-
-                def done() -> None:
-                    self._release_slot(self.prog)
-                    then()
-
-                self._timed(COMPUTE, duration, done)
-
-            self._acquire_slot(self.prog, run_on_prog, on_dead=fall_back_to_cpu)
-            return
-        self.usage.external_bytes += nbytes
-
-        def run_on_cpu() -> None:
-            def _after_compute() -> None:
-                def done() -> None:
-                    self._release_slot(self.cpu)
-                    then()
-
-                self._timed(DATA_MOVEMENT, exposed_s, done)
-
-            self._timed(COMPUTE, operation_s, _after_compute)
-
-        self._acquire_slot(self.cpu, run_on_cpu)
 
     # ------------------------------------------------------------------
     # metrics
@@ -1099,7 +812,7 @@ class Simulation:
         )
         energy_model = EnergyModel(self.config, gpu_present=self.policy.uses_gpu)
         energy = energy_model.energy(usage, makespan)
-        step_time = self._steady_step_time()
+        step_time = _steady([self._step_end[s] for s in sorted(self._step_end)])
         per_model = self._per_model_step_times()
         busy_fraction = self._device_busy_fractions(makespan)
         occupancy = self.fixed.occupancy_histogram_s()
@@ -1170,38 +883,27 @@ class Simulation:
         self.fixed.publish_metrics(registry)
         self.policy.publish_metrics(registry)
         registry.gauge("sched.drain_rounds").set(self._drain_rounds)
-        for device in sorted(self._tasks_started):
-            registry.gauge(f"sched.started.{device}").set(
-                self._tasks_started[device]
-            )
-        for device in sorted(self._queue_wait):
-            registry.gauge(f"sched.queue_wait_s.{device}").set(
-                self._queue_wait[device]
-            )
+        for device, count in sorted(self._tasks_started.items()):
+            registry.gauge(f"sched.started.{device}").set(count)
+        for device, wait in sorted(self._queue_wait.items()):
+            registry.gauge(f"sched.queue_wait_s.{device}").set(wait)
         if self._injector is not None:
             self._injector.publish_metrics(registry)
 
-    def _steady_step_time(self) -> float:
-        ends = [self._step_end[s] for s in sorted(self._step_end)]
-        if len(ends) == 1:
-            return ends[0]
-        # steady state: exclude the warm-up ramp of the first step
-        return (ends[-1] - ends[0]) / (len(ends) - 1)
-
     def _per_model_step_times(self) -> Optional[Dict[str, float]]:
-        models = {m for (m, _s) in self._model_step_end}
-        if models == {self.graph.name}:
+        if self._model_step_remaining is None:
             return None
-        result: Dict[str, float] = {}
-        for model in models:
-            ends = [
-                self._model_step_end[(model, s)]
-                for s in range(self.steps)
-                if (model, s) in self._model_step_end
-            ]
-            if len(ends) >= 2:
-                result[model] = (ends[-1] - ends[0]) / (len(ends) - 1)
-            elif ends:
-                result[model] = ends[0]
-        return result
+        ends_of: Dict[str, List[float]] = {}
+        for (model, _step), end in sorted(
+            self._model_step_end.items(), key=lambda kv: kv[0][1]
+        ):
+            ends_of.setdefault(model, []).append(end)
+        return {model: _steady(ends) for model, ends in ends_of.items()}
 
+
+def _steady(ends: List[float]) -> float:
+    """Steady-state step time from step end times (in step order): the
+    warm-up ramp of the first step is excluded."""
+    if len(ends) == 1:
+        return ends[0]
+    return (ends[-1] - ends[0]) / (len(ends) - 1)

@@ -280,7 +280,8 @@ def _dependence_order(sim) -> Iterator[InvariantViolation]:
                 f"started at {entry.start_s!r} before ready at {entry.ready_s!r}",
             )
     for task in sim._tasks.values():
-        for dep_uid in task.dependents:
+        for dependent in task.dependents:
+            dep_uid = dependent.uid
             dep_start = start_by_uid.get(dep_uid)
             task_end = end_by_uid.get(task.uid)
             if dep_start is None or task_end is None:

@@ -241,6 +241,61 @@ class TestDeferredSlot:
             engine.call_after(-1.0, lambda: None)
 
 
+NAN = float("nan")
+
+
+class TestUnorderedTimesRejected:
+    """NaN compares false with everything, so a NaN time must be refused
+    where it enters; accepted, it would run first and make ``now`` NaN
+    before time moved back to earlier events."""
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            lambda e, cb: e.at(NAN, cb),
+            lambda e, cb: e.after(NAN, cb),
+            lambda e, cb: e.call_after(NAN, cb),
+        ],
+        ids=["at", "after", "call_after"],
+    )
+    def test_nan_time_rejected(self, schedule):
+        engine = Engine()
+        log = []
+        engine.at(1.0, lambda: log.append(engine.now))
+        with pytest.raises(SimulationError):
+            schedule(engine, lambda: log.append("nan"))
+        assert engine.pending_events == 1
+        engine.run()
+        assert log == [1.0] and engine.now == 1.0
+
+    def test_nan_time_rejected_after_time_advanced(self):
+        engine = Engine()
+        engine.at(2.0, lambda: None)
+        engine.run()
+        for schedule in (engine.at, engine.after, engine.call_after):
+            with pytest.raises(SimulationError):
+                schedule(NAN, lambda: None)
+        assert engine.drained
+
+    @pytest.mark.parametrize("method", ["begin", "end"])
+    def test_tracker_rejects_nan_time(self, method):
+        t = ActivityTracker()
+        t.begin(COMPUTE, 1.0)
+        with pytest.raises(SimulationError):
+            getattr(t, method)(COMPUTE, NAN)
+        # the rejected edge left the tracker as it was
+        t.end(COMPUTE, 2.0)
+        b = t.breakdown(2.0)
+        assert b.operation_s == pytest.approx(1.0)
+        assert b.sync_s == 0.0
+
+    def test_tracker_breakdown_rejects_nan_time(self):
+        t = ActivityTracker()
+        t.begin(SYNC, 0.0)
+        with pytest.raises(SimulationError):
+            t.breakdown(NAN)
+
+
 class TestActivityTracker:
     def test_single_activity_buckets(self):
         t = ActivityTracker()
