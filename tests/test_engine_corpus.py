@@ -4,11 +4,12 @@
 ``RunResult.to_json()``.  The corpus spans every zoo model on the five
 evaluated configurations, hetero-pim without recursive kernels and without
 the operation pipeline, both rival backends, seeded fault specs on the
-two fixed-pool configurations, a Fig 16 co-run (merged graph under
-``MixedWorkloadPolicy``, clean and faulted) with its restricted tenant
-solo, and one Fig 11 frequency-scale and one Fig 12 prog-PIM-count
-variant.  Any change to the bytes of any of these results fails here.  Regenerate the map only for an intended behavioural
-change:
+two fixed-pool configurations, a hand-built failure of lstm's last two
+banks, a Fig 16 co-run (merged graph under ``MixedWorkloadPolicy``, clean
+and faulted) with its restricted tenant solo, and one Fig 11
+frequency-scale and one Fig 12 prog-PIM-count variant.  Any change to the
+bytes of any of these results fails here.  Regenerate the map only for an
+intended behavioural change:
 
     PYTHONPATH=src python tests/test_engine_corpus.py --write
 
@@ -31,7 +32,7 @@ from repro.baselines import build_configuration
 from repro.baselines.configs import make_hetero_pim
 from repro.config import default_config
 from repro.experiments import fig16
-from repro.faults import FaultSpec
+from repro.faults import BankFailure, FaultSpec
 from repro.hardware import registry
 from repro.hardware.hmc import StackGeometry
 from repro.nn.layers import GraphBuilder
@@ -54,6 +55,11 @@ FAULT_EVENTS = 4
 CORUN = ("vgg-19", "lstm")
 CORUN_K = 2
 CORUN_FAULT_SEED = 5
+#: Hand-built (bank, fraction of the clean makespan) failures: losing the
+#: last two banks in placement order lets the register file read every
+#: bank busy while the pool still has free units, which no seeded spec
+#: above reaches.
+TRAILING_BANK_FAILURES = ((31, 0.05), (30, 0.10))
 
 
 def _setup(variant):
@@ -105,6 +111,20 @@ def _faulted(model, variant, seed):
     ).run()
 
 
+def _trailing_banks_failed(model, variant):
+    config, policy = _setup(variant)
+    makespan_s = _clean(model, variant).makespan_s
+    spec = FaultSpec(
+        events=tuple(
+            BankFailure(time_s=share * makespan_s, bank=bank)
+            for bank, share in TRAILING_BANK_FAILURES
+        )
+    )
+    return Simulation(
+        _graph(model), policy, config=config, steps=STEPS, faults=spec
+    ).run()
+
+
 @functools.lru_cache(maxsize=None)
 def _corun(seed=None):
     """The Fig 16 co-run job (merged graph, tenant-restricting policy),
@@ -141,6 +161,9 @@ def _entries():
                 entries[f"{model}-{variant}-fault-seed-{seed}"] = (
                     functools.partial(_faulted, model, variant, seed)
                 )
+    entries["lstm-hetero-pim-trailing-banks-failed"] = functools.partial(
+        _trailing_banks_failed, "lstm", "hetero-pim"
+    )
     corun = f"{CORUN[0]}+{CORUN_K}x{CORUN[1]}"
     entries[f"corun-{corun}"] = _corun
     entries[f"corun-{corun}-fault-seed-{CORUN_FAULT_SEED}"] = (
