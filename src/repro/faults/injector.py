@@ -56,10 +56,6 @@ class _ProgClusterView:
         busy = self._device.busy_slots + self._device.lost_slots
         return min(self._device.slots, busy)
 
-    @property
-    def free_pims(self) -> int:
-        return self._device.free_slots
-
 
 class FaultInjector:
     """Applies one :class:`FaultSpec` to one simulation, deterministically."""
@@ -70,7 +66,6 @@ class FaultInjector:
         self.retries: List[Dict[str, object]] = []
         self.degradations: List[Dict[str, object]] = []
         self.reselections: List[Dict[str, object]] = []
-        self._failed_banks: set = set()
         self._throttles: Dict[int, float] = {}
         self._derates: Dict[int, float] = {}
         geometry = StackGeometry(sim.config.stack)
@@ -117,12 +112,11 @@ class FaultInjector:
         self, sim, index: int, event: BankFailure, now: float
     ) -> None:
         bank = event.bank % len(self.placement.units_per_bank)
-        if bank in self._failed_banks:
+        if bank in self.registers.failed_banks:
             self._log_event(
                 index, event, now, {"bank": bank, "units_lost": 0, "revoked": []}
             )
             return
-        self._failed_banks.add(bank)
         self.registers.mark_bank_failed(bank)
         units = self.placement.units_in(bank)
         applied = {"bank": bank}

@@ -565,10 +565,12 @@ class Simulation:
         fixed = self.fixed
         if self._injector is not None:
             # runtime reaction, paper Figure 7: consult the idle/busy
-            # register file before dispatching to the fixed pool
-            if fixed.pool.capacity_units == 0:
+            # register file before dispatching to the fixed pool; some
+            # bank reads idle iff busy + lost units are below all_busy_at
+            pool = fixed.pool
+            if pool.capacity_units == 0:
                 return False
-            if not self._registers.snapshot().any_fixed_idle:
+            if pool.n_units - pool.free_units >= self._registers.all_busy_at:
                 return False
         if self.policy.operation_pipeline:
             return fixed.pool.free_units > 0
@@ -593,9 +595,13 @@ class Simulation:
                     places = memo.get(oid)
                     if places is None:
                         table = self._table
-                        places = memo[oid] = table.guarded(
-                            spec.op, table.places[oid], self._dram_scale
-                        )
+                        scale = self._dram_scale
+                        if scale == 1.0:  # the table's guard column
+                            places = memo[oid] = table.allowed[oid]
+                        else:
+                            places = memo[oid] = table.guarded(
+                                spec.op, table.places[oid], scale
+                            )
                     task.allowed = places
             # A deprioritized (co-run tenant) task only consumes *idle*
             # capacity: it never jumps ahead of primary work queued for a

@@ -187,7 +187,6 @@ class TestRegisters:
         class _Cluster:
             n_pims = 1
             busy_pims = 0
-            free_pims = 1
 
         return pool, placement, UtilizationRegisters(pool, _Cluster(), placement)
 
