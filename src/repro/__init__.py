@@ -44,7 +44,6 @@ __all__ = [
     "ReproError",
     "RunReport",
     "RuntimeConfig",
-    "SimulateOptions",
     "StackConfig",
     "SystemConfig",
     "api",
@@ -59,7 +58,6 @@ __all__ = [
 _LAZY = {
     "api": ("repro.api", None),
     "simulate": ("repro.api", "simulate"),
-    "SimulateOptions": ("repro.api", "SimulateOptions"),
     "list_backends": ("repro.api", "list_backends"),
     "RunReport": ("repro.obs.report", "RunReport"),
 }

@@ -27,15 +27,15 @@ accounting is always on.
 
 This is the one front door to the simulator: the CLI (``python -m repro
 run``), the experiment scripts, the serve daemon and the examples all call
-through this module.  ``Simulation(...).run()`` and
-:func:`repro.sim.cache.simulate_cached` are its internal layers, not
+through this module.  :func:`repro.sim.cache.simulate_cached` and
+:func:`repro.sim.cache.simulate_fresh` (which builds and runs the
+:class:`~repro.sim.simulation.Simulation`) are its internal layers, not
 user entry points.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, replace as _dc_replace
 from typing import Dict, Optional, Tuple, Union
 
 from .config import SystemConfig, default_config
@@ -45,7 +45,6 @@ from .obs.metrics import MetricsRegistry
 from .obs.report import RunReport
 from .sim import cache as sim_cache
 from .sim.policy import SchedulingPolicy
-from .sim.simulation import Simulation
 
 #: Named configurations accepted by :func:`simulate` on the default
 #: backend (the paper's five evaluated systems plus the Neurocube
@@ -167,54 +166,6 @@ def last_batch_supervision():
     return runner.last_supervision()
 
 
-@dataclass(frozen=True)
-class SimulateOptions:
-    """Behavioral options of one :func:`simulate` call, as one object.
-
-    The growing keyword set (``observe``/``faults``/``validate``/
-    ``surrogate``/``backend``) folds into this dataclass: build one and
-    pass it as ``simulate(..., options=opts)``.  The legacy keywords keep
-    working and, when explicitly supplied, override the corresponding
-    option field.  The *resolved* options of every call are recorded on
-    ``report.options``.
-    """
-
-    #: Registered hardware backend to simulate on (:func:`list_backends`).
-    backend: str = DEFAULT_BACKEND
-    #: Live run with timeline recording (bool or a MetricsRegistry).
-    observe: Union[bool, MetricsRegistry, None] = None
-    #: Optional :class:`~repro.faults.FaultSpec` to inject.
-    faults: Optional[object] = None
-    #: Run under the invariant checker (None = ``REPRO_VALIDATE`` env).
-    validate: Optional[bool] = None
-    #: Answer from the learned cost surrogate when possible.
-    surrogate: bool = False
-
-    def merged(
-        self,
-        *,
-        backend: Optional[str] = None,
-        observe=None,
-        faults=None,
-        validate: Optional[bool] = None,
-        surrogate: bool = False,
-    ) -> "SimulateOptions":
-        """This options object with explicitly-passed legacy keywords
-        overriding the corresponding fields (unset keywords defer)."""
-        updates: Dict[str, object] = {}
-        if backend is not None:
-            updates["backend"] = backend
-        if observe is not None:
-            updates["observe"] = observe
-        if faults is not None:
-            updates["faults"] = faults
-        if validate is not None:
-            updates["validate"] = validate
-        if surrogate:
-            updates["surrogate"] = True
-        return _dc_replace(self, **updates) if updates else self
-
-
 def _resolve_run(
     model: Union[str, Graph],
     config: Optional[str],
@@ -254,24 +205,27 @@ def _resolve_run(
 
 
 def _resolved_options_record(
-    opts: SimulateOptions,
+    backend: str,
     config_name: str,
     steps: int,
     batch_size: Optional[int],
     frequency_scale: float,
+    observe,
     validate: bool,
+    surrogate: bool,
+    faults,
 ) -> Dict[str, object]:
     """JSON-safe record of one call's resolved options (for the report)."""
     return {
-        "backend": opts.backend,
+        "backend": backend,
         "config": config_name,
         "steps": steps,
         "batch_size": batch_size,
         "frequency_scale": frequency_scale,
-        "observe": bool(opts.observe),
+        "observe": bool(observe),
         "validate": bool(validate),
-        "surrogate": bool(opts.surrogate),
-        "faults": opts.faults is not None,
+        "surrogate": bool(surrogate),
+        "faults": faults is not None,
     }
 
 
@@ -288,7 +242,6 @@ def simulate(
     validate: Optional[bool] = None,
     surrogate: bool = False,
     backend: Optional[str] = None,
-    options: Optional[SimulateOptions] = None,
 ) -> RunReport:
     """Simulate one training run of ``model`` on configuration ``config``.
 
@@ -346,30 +299,28 @@ def simulate(
         A registered hardware backend (:func:`list_backends`); default
         ``"hmc-hetero"``, the reproduced paper's design.  The backend
         name joins the simulation-cache fingerprint.
-    options:
-        A :class:`SimulateOptions` carrying the behavioral keywords as
-        one object.  Explicitly-passed legacy keywords override the
-        corresponding option fields.  The resolved options land on
-        ``report.options`` either way.
+
+    The resolved keywords land on ``report.options``.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    opts = (options if options is not None else SimulateOptions()).merged(
-        backend=backend,
-        observe=observe,
-        faults=faults,
-        validate=validate,
-        surrogate=surrogate,
-    )
-    observe, faults = opts.observe, opts.faults
-    validate, surrogate = opts.validate, opts.surrogate
+    if backend is None:
+        backend = DEFAULT_BACKEND
     graph, system, policy, config = _resolve_run(
-        model, config, batch_size, frequency_scale, base, opts.backend
+        model, config, batch_size, frequency_scale, base, backend
     )
     if validate is None:
         validate = sim_cache.validation_enabled()
     options_record = _resolved_options_record(
-        opts, config, steps, batch_size, frequency_scale, validate
+        backend,
+        config,
+        steps,
+        batch_size,
+        frequency_scale,
+        observe,
+        validate,
+        surrogate,
+        faults,
     )
 
     surrogate_info = None
@@ -413,16 +364,6 @@ def simulate(
     validation = None
     if observe or validate:
         registry = observe if isinstance(observe, MetricsRegistry) else None
-        sim = Simulation(
-            graph,
-            policy,
-            config=system,
-            steps=steps,
-            record_timeline=True,
-            observe=registry,
-            faults=faults,
-            validate=validate,
-        )
         fingerprint = sim_cache.run_fingerprint(
             graph, policy, system, steps, faults=faults
         )
@@ -433,7 +374,16 @@ def simulate(
         # traces they export) differ between cold and warm caches.
         prior = sim_cache.get(fingerprint) if validate else None
         before = sim_cache.stats()
-        result = sim.run()
+        result, timeline = sim_cache.simulate_fresh(
+            graph,
+            policy,
+            system,
+            steps,
+            faults=faults,
+            validate=validate,
+            record_timeline=True,
+            observe=registry,
+        )
         if validate:
             validation = _validation_summary(result, prior)
         # warm the cache: observed runs produce the same result record
@@ -442,7 +392,8 @@ def simulate(
             result,
             meta=sim_cache.object_meta(result, graph, system, faults=faults),
         )
-        timeline = sim.timeline if observe else None
+        if not observe:
+            timeline = None
     else:
         before = sim_cache.stats()
         result = sim_cache.simulate_cached(
@@ -560,10 +511,10 @@ class Session:
 
 
 def _validation_summary(result, prior) -> Dict[str, object]:
-    """Run the cache/serialization equivalence checks for a validated run
-    (the live invariants already ran inside ``Simulation.run``) and build
-    the report's ``validation`` summary."""
-    from .sim.results import RunResult
+    """Check a validated run against the result the cache held before it
+    (the live invariants and the serialization round trip already ran in
+    :func:`repro.sim.cache.simulate_fresh`) and build the report's
+    ``validation`` summary."""
     from .validate.invariants import (
         RESULT_INVARIANTS,
         SIMULATION_INVARIANTS,
@@ -571,11 +522,6 @@ def _validation_summary(result, prior) -> Dict[str, object]:
     )
 
     check_cache_equivalence(result, prior, source="result cache")
-    check_cache_equivalence(
-        result,
-        RunResult.from_json(result.to_json()),
-        source="serialization round-trip",
-    )
     return {
         "invariants": list(RESULT_INVARIANTS + SIMULATION_INVARIANTS),
         "cache_equivalence": "checked" if prior is not None else "cold",

@@ -1,9 +1,10 @@
 """Shared experiment plumbing: cached model builds and simulation runs.
 
-Thin delegation layer over :mod:`repro.api` — the experiments predate the
-facade and keep their graph-level ``run_model_on`` (returning the cached
-:class:`~repro.sim.results.RunResult`), while :func:`run_report_on`
-exposes the report-level view for callers that want observability fields.
+Thin delegation layer over :mod:`repro.api` and the result cache: the
+experiments read the cached :class:`~repro.sim.results.RunResult` of each
+run through :func:`run_job` (``run_model_on`` resolves a zoo-model x
+named-config point and calls it); callers that want the report view call
+:func:`repro.api.simulate`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import tempfile
 from pathlib import Path
 from typing import Optional, Union
 
-from .. import api
 from ..api import cached_graph, clear_caches, resolve_configuration  # noqa: F401
 from ..config import SystemConfig
 from ..sim import cache as sim_cache
@@ -64,18 +64,7 @@ def run_model_on(
     answer fall back to the exact path.
     """
     config, policy = resolve_configuration(config_name, base)
-    if _SURROGATE:
-        from ..surrogate import SurrogateUnavailable, estimate_run
-
-        try:
-            return estimate_run(
-                cached_graph(model), policy, config, steps=steps
-            )
-        except SurrogateUnavailable:
-            pass
-    return sim_cache.simulate_cached(
-        cached_graph(model), policy, config, steps=steps
-    )
+    return run_job(cached_graph(model), policy, config, steps=steps)
 
 
 def run_job(
@@ -132,16 +121,3 @@ def write_atomic(path: Union[str, Path], text: str) -> Path:
             pass
         raise
     return path
-
-
-def run_report_on(
-    model: str,
-    config_name: str,
-    base: Optional[SystemConfig] = None,
-    steps: Optional[int] = None,
-):
-    """Like :func:`run_model_on`, but returns the :class:`RunReport` view."""
-    if steps is None:
-        config, _ = resolve_configuration(config_name, base)
-        steps = config.runtime.measured_steps
-    return api.simulate(model, config_name, steps, base=base)

@@ -544,12 +544,22 @@ def supervise(
 # simulation batches
 # ---------------------------------------------------------------------------
 def _worker(job: Job) -> RunResult:
-    """Run one job in a pool worker (module-level: must be picklable)."""
+    """Simulate one normalized job (module-level: must be picklable).
+
+    Computes only: :func:`run_jobs` fingerprinted the job and found it
+    missing, and the parent stores the result.
+    """
     _chaos.maybe_kill("worker.kill")
-    graph, policy, config, steps, faults = _normalize(job)
-    return sim_cache.simulate_cached(
-        graph, policy, config, steps=steps, faults=faults
+    graph, policy, config, steps, faults = job
+    result, _ = sim_cache.simulate_fresh(
+        graph,
+        policy,
+        config,
+        steps,
+        faults=faults,
+        validate=sim_cache.validation_enabled(),
     )
+    return result
 
 
 def _job_meta(job: Job, result: RunResult) -> Dict:

@@ -40,23 +40,6 @@ from .spec import (
 )
 
 
-class _ProgClusterView:
-    """Adapts the simulator's prog :class:`SlotDevice` to the duck type
-    :class:`UtilizationRegisters` expects (``ProgPIMCluster``-shaped)."""
-
-    def __init__(self, device):
-        self._device = device
-
-    @property
-    def n_pims(self) -> int:
-        return self._device.slots
-
-    @property
-    def busy_pims(self) -> int:
-        busy = self._device.busy_slots + self._device.lost_slots
-        return min(self._device.slots, busy)
-
-
 class FaultInjector:
     """Applies one :class:`FaultSpec` to one simulation, deterministically."""
 
@@ -73,9 +56,7 @@ class FaultInjector:
         self.placement: Placement = place_fixed_pims(
             geometry, sim.config.fixed_pim.n_units
         )
-        self.registers = UtilizationRegisters(
-            sim.fixed.pool, _ProgClusterView(sim.prog), self.placement
-        )
+        self.registers = UtilizationRegisters(sim.fixed.pool, self.placement)
         for index, event in enumerate(spec.events):
             sim.engine.at(event.time_s, partial(self._apply, sim, index, event))
 

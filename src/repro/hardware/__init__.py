@@ -9,7 +9,6 @@ from .gpu import GpuModel
 from .hmc import BankGeometry, BankZone, StackGeometry
 from .placement import Placement, place_fixed_pims, validate_thermal
 from .power import DeviceUsage, EnergyBreakdown, EnergyModel
-from .prog_pim import ProgPIMCluster
 from .registry import BackendDescriptor, HardwareBackend, list_backends, register
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "LogicDieBudget",
     "OpTiming",
     "Placement",
-    "ProgPIMCluster",
     "StackGeometry",
     "explore_prog_pim_tradeoff",
     "list_backends",

@@ -29,8 +29,8 @@ from ..sim.timeline import Timeline
 #: v3: added ``validation`` (invariant-checker summary of validated runs).
 #: v4: added ``surrogate`` (cost-surrogate mode/bands of the answering
 #: path).
-#: v5: added ``options`` (the resolved :class:`repro.api.SimulateOptions`
-#: of the producing call, including the hardware-backend name).
+#: v5: added ``options`` (the resolved keywords of the producing
+#: :func:`repro.api.simulate` call, including the hardware-backend name).
 REPORT_SCHEMA_VERSION = 5
 
 #: Envelope versions :meth:`RunReport.from_dict` still reads.  Older

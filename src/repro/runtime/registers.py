@@ -4,8 +4,10 @@ The architecture exposes one idle/busy register per bank of fixed-function
 PIMs plus one for the programmable PIM, letting the software scheduler
 "query the completion of any computation and decide the idleness of
 processing units" without interrupting the devices.  This module is the
-software view over those registers: it maps the pool's aggregate busy count
-onto per-bank bits through the thermal-aware placement.
+software view over the bank registers: it maps the pool's aggregate busy
+count onto per-bank bits through the thermal-aware placement.  The
+programmable-PIM register is not modeled: the scheduler reads the
+programmable PIM's free slots directly (see DESIGN.md section 3).
 """
 
 from __future__ import annotations
@@ -17,27 +19,21 @@ from typing import List, Set
 from ..errors import HardwareConfigError
 from ..hardware.fixed_pim import FixedPIMPool
 from ..hardware.placement import Placement
-from ..hardware.prog_pim import ProgPIMCluster
 
 
 @dataclass(frozen=True)
 class RegisterFile:
-    """One snapshot of the idle registers."""
+    """One snapshot of the bank idle registers."""
 
     bank_busy: List[bool]
-    prog_pim_busy: List[bool]
 
     @property
     def any_fixed_idle(self) -> bool:
         return not all(self.bank_busy)
 
-    @property
-    def any_prog_idle(self) -> bool:
-        return not all(self.prog_pim_busy)
-
 
 class UtilizationRegisters:
-    """Live register view over the fixed pool and programmable cluster.
+    """Live bank-register view over the fixed-function pool.
 
     Units are assumed filled bank-by-bank in placement order (the runtime
     maps kernels to units co-located with their data; the register file is
@@ -57,19 +53,13 @@ class UtilizationRegisters:
     admission check is that one comparison.
     """
 
-    def __init__(
-        self,
-        pool: FixedPIMPool,
-        cluster: ProgPIMCluster,
-        placement: Placement,
-    ):
+    def __init__(self, pool: FixedPIMPool, placement: Placement):
         if placement.total_units != pool.n_units:
             raise HardwareConfigError(
                 f"placement covers {placement.total_units} units, pool has "
                 f"{pool.n_units}"
             )
         self._pool = pool
-        self._cluster = cluster
         capacities = placement.units_per_bank
         self._thresholds: List[float] = [
             through if capacity else float("inf")
@@ -99,13 +89,7 @@ class UtilizationRegisters:
 
     def snapshot(self) -> RegisterFile:
         occupancy = self._occupancy()
-        prog_busy = [
-            i < self._cluster.busy_pims for i in range(self._cluster.n_pims)
-        ]
-        return RegisterFile(
-            bank_busy=[occupancy >= t for t in self._thresholds],
-            prog_pim_busy=prog_busy,
-        )
+        return RegisterFile(bank_busy=[occupancy >= t for t in self._thresholds])
 
     def idle_bank_count(self) -> int:
         occupancy = self._occupancy()

@@ -2,9 +2,9 @@
 
 Run simulations through :func:`repro.api.simulate`, with a model name or
 a built :class:`~repro.nn.graph.Graph`; it returns a
-:class:`~repro.obs.report.RunReport`.  :class:`Simulation` and
-:func:`repro.sim.cache.simulate_cached` are the layers beneath that
-facade.
+:class:`~repro.obs.report.RunReport`.  :func:`repro.sim.cache.simulate_cached`
+and :func:`repro.sim.cache.simulate_fresh` (the one place a
+:class:`Simulation` is built and run) are the layers beneath that facade.
 """
 
 from .activity import COMPUTE, DATA_MOVEMENT, SYNC, ActivityTracker, TimeBreakdown

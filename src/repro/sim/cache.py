@@ -20,9 +20,9 @@ Two tiers back the fingerprint:
   records under ``<cache-dir>/objects/v<schema>/<aa>/<digest>.json``
   (namespaced by ``CACHE_SCHEMA`` so newer-code entries are invisible to
   older checkouts rather than misread), shared across
-  processes — the parallel experiment runner's workers populate it and the
-  parent (and every later invocation: pytest, benchmarks, the CLI) reads
-  the same entries.  JSON (via the versioned
+  processes — the parallel experiment runner's parent stores its
+  workers' results there, and every later invocation (pytest,
+  benchmarks, the CLI) reads the same entries.  JSON (via the versioned
   :meth:`~repro.sim.results.RunResult.to_dict` round trip) replaces the
   earlier pickle format: entries are inspectable, diffable, and safe to
   load from a shared directory.
@@ -73,7 +73,7 @@ import time
 import weakref
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Optional, Set
+from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
 
 from ..chaos import injector as _chaos
 from ..config import SystemConfig
@@ -81,6 +81,9 @@ from ..errors import CorruptObjectError
 from ..nn.graph import Graph
 from .policy import SchedulingPolicy
 from .results import RunResult, canonical_dumps
+
+if TYPE_CHECKING:
+    from .timeline import Timeline
 
 #: Schema/behavior version folded into every fingerprint.  2: results carry
 #: observability aggregates and the disk tier stores canonical JSON.
@@ -918,8 +921,55 @@ def reset_stats() -> None:
 
 
 # ---------------------------------------------------------------------------
-# cached simulation entry point
+# simulation entry points
 # ---------------------------------------------------------------------------
+def simulate_fresh(
+    graph: Graph,
+    policy: SchedulingPolicy,
+    config: SystemConfig,
+    steps: Optional[int] = None,
+    faults=None,
+    validate: bool = False,
+    *,
+    record_timeline: bool = False,
+    observe=None,
+) -> Tuple[RunResult, Optional["Timeline"]]:
+    """Build and run one :class:`~repro.sim.simulation.Simulation`, with
+    no cache lookup or store; returns ``(result, timeline)``.
+
+    The one place a simulation is constructed: :func:`simulate_cached`
+    on a miss, ``repro.api.simulate``'s live (observed or validated)
+    runs and the batch runner's workers all come here.  ``validate``
+    runs the live invariant checker plus a serialization round-trip
+    equivalence check (the exact representation the disk tier and the
+    artifacts store), raising :class:`~repro.errors.InvariantViolation`
+    on the first broken law.  ``timeline`` is None unless
+    ``record_timeline`` or ``validate`` asked for one.
+    """
+    from .simulation import Simulation  # local import avoids a cycle
+
+    sim = Simulation(
+        graph,
+        policy,
+        config=config,
+        steps=steps,
+        record_timeline=record_timeline,
+        observe=observe,
+        faults=faults,
+        validate=validate,
+    )
+    result = sim.run()
+    if validate:
+        from ..validate.invariants import check_cache_equivalence
+
+        check_cache_equivalence(
+            result,
+            RunResult.from_json(result.to_json()),
+            source="serialization round-trip",
+        )
+    return result, sim.timeline
+
+
 def simulate_cached(
     graph: Graph,
     policy: SchedulingPolicy,
@@ -930,20 +980,15 @@ def simulate_cached(
 ) -> RunResult:
     """Run (or fetch) one simulation, keyed by content fingerprint.
 
-    Cached equivalent of ``Simulation(graph, policy, ...).run()`` for any
-    run that does not need a live :class:`Simulation` object (timelines,
-    device introspection).  ``faults`` (a FaultSpec) is part of the
+    Cached equivalent of :func:`simulate_fresh` for any run that does
+    not need a timeline.  ``faults`` (a FaultSpec) is part of the
     fingerprint: faulted and fault-free runs cache independently.
 
     ``validate`` (default: the ``REPRO_VALIDATE`` environment knob) turns
     on the invariant checker (:mod:`repro.validate.invariants`): cache
-    hits get the result-level checks, misses run the full live-simulation
-    checks plus a serialization round-trip equivalence check (the exact
-    representation the disk tier and the artifacts store), raising
-    :class:`~repro.errors.InvariantViolation` on the first broken law.
+    hits get the result-level checks, misses the full checks of
+    :func:`simulate_fresh`.
     """
-    from .simulation import Simulation  # local import avoids a cycle
-
     if config is None:
         from ..config import default_config
 
@@ -953,27 +998,14 @@ def simulate_cached(
     fingerprint = run_fingerprint(graph, policy, config, steps, faults=faults)
     result = get(fingerprint)
     if result is None:
-        result = Simulation(
-            graph,
-            policy,
-            config=config,
-            steps=steps,
-            faults=faults,
-            validate=validate,
-        ).run()
+        result, _ = simulate_fresh(
+            graph, policy, config, steps, faults=faults, validate=validate
+        )
         put(
             fingerprint,
             result,
             meta=object_meta(result, graph, config, faults=faults),
         )
-        if validate:
-            from ..validate.invariants import check_cache_equivalence
-
-            check_cache_equivalence(
-                result,
-                RunResult.from_json(result.to_json()),
-                source="serialization round-trip",
-            )
     elif validate:
         from ..validate.invariants import check_result
 

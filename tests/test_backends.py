@@ -1,4 +1,5 @@
-"""Hardware-backend registry, rival backends, and SimulateOptions.
+"""Hardware-backend registry, rival backends, and the options record
+of ``repro.api.simulate`` (``report.options``).
 
 The pinned digests in ``GOLDEN_DIGESTS`` are sha256 hashes of
 ``RunResult.to_json()`` captured on the pre-registry codebase — the
@@ -177,22 +178,7 @@ class TestDefaultBackendByteIdentity:
 
 
 class TestSimulateOptions:
-    def test_options_object_equals_legacy_kwargs(self):
-        legacy = api.simulate("dcgan", steps=1, backend="gradpim")
-        opted = api.simulate(
-            "dcgan",
-            steps=1,
-            options=api.SimulateOptions(backend="gradpim"),
-        )
-        assert legacy.result.to_json() == opted.result.to_json()
-        assert legacy.options == opted.options
-
-    def test_explicit_kwargs_override_options(self):
-        opts = api.SimulateOptions(backend="gradpim", validate=False)
-        report = api.simulate(
-            "dcgan", steps=1, options=opts, backend="hmc-hetero"
-        )
-        assert report.backend == "hmc-hetero"
+    """``report.options``: the resolved keywords of one ``simulate`` call."""
 
     def test_resolved_options_recorded(self):
         report = api.simulate("dcgan", steps=1, validate=True)

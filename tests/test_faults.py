@@ -183,12 +183,7 @@ class TestRegisters:
         geometry = StackGeometry(config.stack)
         pool = FixedPIMPool(n_units=config.fixed_pim.n_units)
         placement = place_fixed_pims(geometry, pool.n_units)
-
-        class _Cluster:
-            n_pims = 1
-            busy_pims = 0
-
-        return pool, placement, UtilizationRegisters(pool, _Cluster(), placement)
+        return pool, placement, UtilizationRegisters(pool, placement)
 
     def test_failed_bank_latches_busy(self):
         pool, placement, registers = self._registers()

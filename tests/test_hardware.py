@@ -18,7 +18,6 @@ from repro.hardware.placement import (
     place_fixed_pims,
     validate_thermal,
 )
-from repro.hardware.prog_pim import ProgPIMCluster
 from repro.nn.ops import Op, OpCost
 
 
@@ -202,29 +201,3 @@ class TestFixedPIMPool:
         pool.allocate("k", 10, now=0.0)
         pool.release("k", now=1.0)
         assert pool.utilization(0.0, 2.0, start) == pytest.approx(0.5)
-
-
-class TestProgPIMCluster:
-    def test_acquire_release(self):
-        cluster = ProgPIMCluster(2)
-        assert cluster.acquire("a", now=0.0)
-        assert cluster.acquire("b", now=0.0)
-        assert not cluster.acquire("c", now=0.0)
-        cluster.release("a", now=1.0)
-        assert cluster.acquire("c", now=1.0)
-
-    def test_busy_integral(self):
-        cluster = ProgPIMCluster(2)
-        cluster.acquire("a", now=0.0)
-        cluster.release("a", now=3.0)
-        assert cluster.busy_pim_seconds(3.0) == pytest.approx(3.0)
-
-    def test_double_acquire_rejected(self):
-        cluster = ProgPIMCluster(2)
-        cluster.acquire("a", now=0.0)
-        with pytest.raises(SchedulingError):
-            cluster.acquire("a", now=0.0)
-
-    def test_release_unknown_rejected(self):
-        with pytest.raises(SchedulingError):
-            ProgPIMCluster(1).release("ghost", now=0.0)

@@ -95,6 +95,40 @@ class TestPackageSurface:
         ]
         assert sorted(named) == sorted(repro.__all__)
 
+    def test_design_tables_name_real_code(self):
+        """Every dotted name in DESIGN.md's subsystem "Package" column and
+        experiment "Modules" column resolves under ``repro``."""
+        import importlib
+        import re
+        from pathlib import Path
+
+        design = (Path(__file__).parent.parent / "DESIGN.md").read_text()
+        names = []
+        for header, column in (("| Subsystem |", 1), ("| Experiment |", 3)):
+            table = design.split(header, 1)[1].split("\n\n", 1)[0]
+            for row in table.splitlines()[2:]:
+                cell = row.split("|")[column + 1]
+                names += re.findall(r"`([A-Za-z_][\w.]*)`", cell)
+        assert len(names) > 20
+        unresolved = []
+        for name in names:
+            parts = name.removeprefix("repro.").split(".")
+            for cut in range(len(parts), 0, -1):
+                module = "repro." + ".".join(parts[:cut])
+                try:
+                    obj = importlib.import_module(module)
+                except ImportError:
+                    continue
+                try:
+                    for attr in parts[cut:]:
+                        obj = getattr(obj, attr)
+                except AttributeError:
+                    unresolved.append(name)
+                break
+            else:
+                unresolved.append(name)
+        assert not unresolved
+
     def test_all_public_modules_importable(self):
         """Every module in the package imports, so a leftover import of a
         deleted module fails here wherever it hides."""

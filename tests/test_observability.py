@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro import api
-from repro.experiments import run_model_on, run_report_on, runner
+from repro.experiments import run_model_on, runner
 from repro.obs import validate_chrome_trace
 from repro.obs.metrics import (
     NULL_REGISTRY,
@@ -354,11 +354,6 @@ class TestApiFacade:
         fast = api.simulate(MODEL, "hetero-pim", frequency_scale=2.0)
         plain = api.simulate(MODEL, "hetero-pim")
         assert fast.step_time_s < plain.step_time_s
-
-    def test_run_report_on_matches_run_model_on(self):
-        report = run_report_on(MODEL, "hetero-pim")
-        result = run_model_on(MODEL, "hetero-pim")
-        assert report.result == result
 
     def test_top_level_exports(self):
         import repro

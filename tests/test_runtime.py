@@ -9,7 +9,6 @@ from repro.errors import HardwareConfigError, SchedulingError
 from repro.hardware.fixed_pim import FixedPIMPool
 from repro.hardware.hmc import StackGeometry
 from repro.hardware.placement import place_fixed_pims
-from repro.hardware.prog_pim import ProgPIMCluster
 from repro.nn.models import build_model
 from repro.profiling import WorkloadProfiler
 from repro.runtime import (
@@ -165,26 +164,24 @@ class TestRegisters:
         geometry = StackGeometry(default_config().stack)
         placement = place_fixed_pims(geometry, n_units)
         pool = FixedPIMPool(n_units)
-        cluster = ProgPIMCluster(1)
-        return UtilizationRegisters(pool, cluster, placement), pool, cluster
+        return UtilizationRegisters(pool, placement), pool
 
     def test_idle_snapshot(self):
-        regs, _pool, _cluster = self._registers()
+        regs, _pool = self._registers()
         snap = regs.snapshot()
         assert not any(snap.bank_busy)
-        assert snap.any_fixed_idle and snap.any_prog_idle
+        assert snap.any_fixed_idle
 
     def test_busy_bits_fill_with_allocation(self):
-        regs, pool, cluster = self._registers()
+        regs, pool = self._registers()
         pool.allocate("k", 444, now=0.0)
-        cluster.acquire("op", now=0.0)
         snap = regs.snapshot()
         assert all(snap.bank_busy)
-        assert all(snap.prog_pim_busy)
+        assert not snap.any_fixed_idle
         assert regs.idle_bank_count() == 0
 
     def test_partial_allocation_leaves_idle_banks(self):
-        regs, pool, _ = self._registers()
+        regs, pool = self._registers()
         pool.allocate("k", 434, now=0.0)  # all but 10 units
         assert 0 < regs.idle_bank_count() < 32
 
@@ -192,7 +189,7 @@ class TestRegisters:
         geometry = StackGeometry(default_config().stack)
         placement = place_fixed_pims(geometry, 100)
         with pytest.raises(HardwareConfigError):
-            UtilizationRegisters(FixedPIMPool(444), ProgPIMCluster(1), placement)
+            UtilizationRegisters(FixedPIMPool(444), placement)
 
 
 def _reference_bank_busy(units_per_bank, failed, occupancy):
@@ -248,7 +245,7 @@ def test_threshold_registers_match_bank_fill(
     bank-by-bank fill, after each failure of a sequence."""
     placement = place_fixed_pims(StackGeometry(default_config().stack), n_units)
     pool = FixedPIMPool(n_units)
-    regs = UtilizationRegisters(pool, ProgPIMCluster(1), placement)
+    regs = UtilizationRegisters(pool, placement)
     lost = round(lost_share * n_units)
     if lost:
         pool.shrink(lost, now=0.0)

@@ -216,6 +216,54 @@ class TestRunner:
         assert sim_cache.stats()["misses"] == 0
 
 
+class TestBatchStoresOnce:
+    """``run_jobs`` fingerprints and stores each fresh job once: a worker
+    only computes, and the parent's ``put`` is the one store."""
+
+    @pytest.fixture
+    def calls(self, tmp_path, monkeypatch):
+        """Count ``run_fingerprint``/``put`` calls in this process and in
+        forked pool workers (which inherit the patch) via an append log."""
+        log = tmp_path / "calls.log"
+        log.touch()
+
+        def logged(name, fn):
+            def wrapper(*args, **kwargs):
+                with open(log, "a") as fh:
+                    fh.write(name + "\n")
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("run_fingerprint", "put"):
+            monkeypatch.setattr(
+                sim_cache, name, logged(name, getattr(sim_cache, name))
+            )
+        return lambda name: log.read_text().split().count(name)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_fresh_job_hashed_and_stored_once(self, calls, workers):
+        jobs = []
+        for config_name in ("cpu", "fixed-pim", "hetero-pim"):
+            config, policy = build_configuration(config_name)
+            jobs.append((build_model(MODEL), policy, config, 1))
+        n = len(jobs)
+        runner.set_jobs(workers)
+        try:
+            runner.run_jobs(jobs)
+            assert calls("run_fingerprint") == n
+            assert calls("put") == n
+            assert sim_cache.stats()["stores"] == n
+            objects = sim_cache.cache_dir() / "objects"
+            assert len(list(objects.rglob("*.json"))) == n
+
+            runner.run_jobs(jobs)  # every job is cached now
+            assert calls("put") == n
+            assert sim_cache.stats()["stores"] == n
+        finally:
+            runner.set_jobs(None)
+
+
 class TestSchemaNamespacing:
     """Entries written by a different CACHE_SCHEMA must never be read."""
 
