@@ -1,44 +1,15 @@
-"""Experiments: one module per paper table/figure (see DESIGN.md index)."""
+"""Experiments: one module per paper table/figure (see DESIGN.md index).
 
-from . import (
-    ablation,
-    ablations,
-    compare,
-    extensions,
-    families,
-    faults,
-    fig2,
-    fig8,
-    fig9,
-    fig10,
-    fig11,
-    fig12,
-    fig13,
-    fig14,
-    fig15,
-    fig16,
-    fig17,
-    journal,
-    runner,
-    summary,
-    table1,
-)
-from .common import (
-    EVAL_CONFIGS,
-    EVAL_MODELS,
-    cached_graph,
-    clear_caches,
-    run_model_on,
-    write_atomic,
-)
+Submodules load on first attribute access (``experiments.fig9``), so a
+process that needs one of them — the serve daemon's ``journal`` — does
+not import the other twenty.
+"""
 
-__all__ = [
-    "EVAL_CONFIGS",
-    "EVAL_MODELS",
+import importlib
+
+_SUBMODULES = (
     "ablation",
     "ablations",
-    "cached_graph",
-    "clear_caches",
     "compare",
     "extensions",
     "families",
@@ -55,9 +26,29 @@ __all__ = [
     "fig16",
     "fig17",
     "journal",
-    "run_model_on",
     "runner",
     "summary",
     "table1",
+)
+#: Re-exported from :mod:`.common`.
+_COMMON = (
+    "EVAL_CONFIGS",
+    "EVAL_MODELS",
+    "cached_graph",
+    "clear_caches",
+    "run_model_on",
     "write_atomic",
-]
+)
+
+__all__ = sorted(_SUBMODULES + _COMMON)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        value = importlib.import_module(f"{__name__}.{name}")
+    elif name in _COMMON:
+        value = getattr(importlib.import_module(f"{__name__}.common"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value

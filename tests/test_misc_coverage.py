@@ -145,3 +145,39 @@ class TestPackageSurface:
         assert "repro.sim.simulation" in names
         for name in names:
             importlib.import_module(name)
+
+    def test_simulation_runs_without_numpy(self, tmp_path):
+        """The front doors import, and a clean and a faulted run simulate,
+        with numpy unimportable: only ``nn.numeric`` and the surrogate
+        need it, and both load it on first use."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = """
+import sys
+sys.modules["numpy"] = None
+import repro.api, repro.cli, repro.serve.daemon
+from repro.faults import FaultSpec
+clean = repro.api.simulate("lstm", "hetero-pim", 1).result
+spec = FaultSpec.generate(
+    seed=5, horizon_s=clean.makespan_s, n_events=4,
+    banks=32, pool_units=444, prog_pims=1,
+)
+faulted = repro.api.simulate("lstm", "hetero-pim", 1, faults=spec).result
+assert faulted.to_json() != clean.to_json()
+print("ok")
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).parent.parent / "src")
+        env["REPRO_CACHE_DIR"] = str(tmp_path)
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "ok"

@@ -18,7 +18,9 @@ result cache, the runner, or the simulator's determinism, and fails CI.
 mid-run (once gracefully with SIGINT, once hard with SIGKILL) as soon as
 its journal shows completed jobs, then picked back up with
 ``repro resume`` — and the resumed artifact must be byte-identical to an
-uninterrupted serial baseline.  ``--all`` runs both gates.
+uninterrupted serial baseline.  Each killed batch runs in its own process
+group, which the gate SIGKILLs afterwards; it fails if any process of that
+group still runs.  ``--all`` runs both gates.
 
 ``--validate`` runs every mode under the invariant checker
 (``REPRO_VALIDATE=1``, see :mod:`repro.validate`): any conservation or
@@ -149,9 +151,27 @@ def _cli_env(cache_dir: Path, jobs: int) -> dict:
     return env
 
 
-def _kill_midrun(cache_dir: Path, run_id: str, sig: signal.Signals) -> int:
-    """Start the chaos experiment, kill it once its journal shows progress
-    (completed jobs), and return the exit code."""
+def _running_in_group(pgid: int) -> list:
+    """``ps`` lines of the processes in group ``pgid`` that still run.
+    Zombies do not count: only their parent (or init) can reap them."""
+    listing = subprocess.run(
+        ["ps", "-A", "-o", "pgid=,stat=,pid=,args="],
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    return [
+        line.strip()
+        for line in listing.splitlines()
+        if line.split()[0] == str(pgid) and not line.split()[1].startswith("Z")
+    ]
+
+
+def _kill_midrun(cache_dir: Path, run_id: str, sig: signal.Signals) -> tuple:
+    """Start the chaos experiment in its own process group, kill it once its
+    journal shows progress (completed jobs), then SIGKILL whatever is left
+    of the group: a SIGKILLed batch leaves its pool workers behind.
+    Return the exit code and the processes still running after that."""
     proc = subprocess.Popen(
         [
             sys.executable,
@@ -166,6 +186,7 @@ def _kill_midrun(cache_dir: Path, run_id: str, sig: signal.Signals) -> int:
         cwd=REPO,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
+        start_new_session=True,
     )
     journal = cache_dir / "journal" / f"{run_id}.jsonl"
     deadline = time.time() + 300
@@ -179,7 +200,16 @@ def _kill_midrun(cache_dir: Path, run_id: str, sig: signal.Signals) -> int:
     except subprocess.TimeoutExpired:
         proc.kill()
         proc.wait()
-    return proc.returncode
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    deadline = time.time() + 10
+    survivors = _running_in_group(proc.pid)
+    while survivors and time.time() < deadline:
+        time.sleep(0.1)
+        survivors = _running_in_group(proc.pid)
+    return proc.returncode, survivors
 
 
 def check_chaos() -> int:
@@ -200,7 +230,12 @@ def check_chaos() -> int:
         )
         for name, sig in scenarios:
             cache_dir = workdir / f"cache-{name}"
-            code = _kill_midrun(cache_dir, f"chaos-{name}", sig)
+            code, survivors = _kill_midrun(cache_dir, f"chaos-{name}", sig)
+            if survivors:
+                failures.append(
+                    f"{name}: {len(survivors)} process(es) of the killed "
+                    f"batch still running: {survivors}"
+                )
             resumed = subprocess.run(
                 [sys.executable, "-m", "repro", "resume", f"chaos-{name}"],
                 env=_cli_env(cache_dir, jobs=4),
