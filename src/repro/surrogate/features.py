@@ -203,7 +203,7 @@ def featurize(
 
         op_places = places.get(oid)
         primary = op_places[0] if op_places else "cpu"
-        dur = est.get((primary, oid), 0.0)
+        dur = est[primary].get(oid, 0.0)
         gang = gangs.get(oid, 1) if primary == "prog" else 1
         lane = _LANE.get(primary, "cpu")
         lane_work[lane] += dur * gang
