@@ -134,6 +134,7 @@ class Simulation:
         self.steps = steps if steps is not None else self.config.runtime.measured_steps
         if self.steps < 1:
             raise SimulationError("need at least one simulated step")
+        self.config.validate()
         policy.validate()
         policy.prepare(graph, self.config)
 
