@@ -35,6 +35,7 @@ user entry points.
 
 from __future__ import annotations
 
+import copy
 import weakref
 from typing import Dict, Optional, Tuple, Union
 
@@ -58,13 +59,17 @@ DEFAULT_BACKEND = "hmc-hetero"
 
 _graph_cache: Dict[Tuple[str, Optional[int]], Graph] = {}
 
-#: Resolved ``SystemConfig`` instances keyed by (backend, configuration
-#: name, base identity).  Returning the *same* config object per name
-#: lets the downstream id-keyed memoizers (config signatures, cost
-#: tables) hit instead of re-deriving; policies stay fresh per call
-#: because ``prepare()`` mutates them.  Entries tied to an explicit base
-#: evict with it.
-_resolved_config_cache: Dict[Tuple[str, str, Optional[int]], SystemConfig] = {}
+#: Resolved configurations keyed by (backend, configuration name, base
+#: identity): the ``SystemConfig`` and a never-prepared policy built with
+#: it.  Returning the *same* config object per name lets the downstream
+#: id-keyed memoizers (config signatures, cost tables) hit instead of
+#: re-deriving, and a repeated request builds no config at all.  Each
+#: call gets its own shallow copy of the policy, because ``prepare()``
+#: mutates it (by assigning attributes; what a policy's constructor
+#: stores is immutable).  Entries tied to an explicit base evict with it.
+_resolved_config_cache: Dict[
+    Tuple[str, str, Optional[int]], Tuple[SystemConfig, SchedulingPolicy]
+] = {}
 
 #: Frequency-scaled variants of the default configuration, keyed by scale
 #: (the section VI-D sweep re-resolves the same handful of scales).
@@ -119,16 +124,15 @@ def resolve_configuration(
     be = registry.get(backend)
     if config_name is None:
         config_name = be.default_configuration
-    system, policy = registry.build(backend, config_name, base)
     key = (backend, config_name, id(base) if base is not None else None)
     cached = _resolved_config_cache.get(key)
     if cached is None:
-        _resolved_config_cache[key] = system
+        cached = registry.build(backend, config_name, base)
+        _resolved_config_cache[key] = cached
         if base is not None:
             weakref.finalize(base, _resolved_config_cache.pop, key, None)
-    else:
-        system = cached
-    return system, policy
+    system, policy = cached
+    return system, copy.copy(policy)
 
 
 def clear_caches() -> None:
@@ -397,7 +401,7 @@ def simulate(
     else:
         before = sim_cache.stats()
         result = sim_cache.simulate_cached(
-            graph, policy, system, steps=steps, faults=faults
+            graph, policy, system, steps=steps, faults=faults, validate=False
         )
         timeline = None
     after = sim_cache.stats()

@@ -356,6 +356,16 @@ FREQUENCY_SCALES: Tuple[float, ...] = (1.0, 2.0, 4.0)
 PROG_PIM_COUNTS: Tuple[int, ...] = (1, 4, 16)
 
 
+_DEFAULT_CONFIG = SystemConfig()
+
+
 def default_config() -> SystemConfig:
-    """The paper's baseline system configuration."""
-    return SystemConfig()
+    """The paper's baseline system configuration.
+
+    One shared instance: ``SystemConfig`` is frozen, so variants are
+    derived with :func:`dataclasses.replace` or the ``with_*`` helpers,
+    and sharing it lets the id-keyed memos (config signatures, cost
+    tables) hit for every caller.  ``gpu.utilization`` is a dict; treat
+    it as read-only.
+    """
+    return _DEFAULT_CONFIG

@@ -42,6 +42,8 @@ class HeteroPimPolicy(SchedulingPolicy):
         self._cpu_slots_override = cpu_slots
         self.cpu_slots = cpu_slots if cpu_slots is not None else 2
         self.pipeline_depth = 1 if operation_pipeline else 0
+        # prepare() overwrites both; signature() reports these
+        self._constructed_slots_depth = (self.cpu_slots, self.pipeline_depth)
         self.uses_gpu = False
         if name is not None:
             self.name = name
@@ -119,10 +121,24 @@ class HeteroPimPolicy(SchedulingPolicy):
         )
 
     def signature(self) -> Tuple:
-        # cpu_slots alone is ambiguous here: without an override prepare()
-        # replaces it with config.runtime.cpu_slots, with one it does not —
-        # the same (signature, config) pair must never behave two ways.
-        return super().signature() + (self._cpu_slots_override,)
+        # The base tuple's fields, with cpu_slots and pipeline_depth as
+        # constructed: prepare() overwrites both from the (separately
+        # fingerprinted) config, and one policy must fingerprint the same
+        # before and after it has run.  The override joins the tuple
+        # because cpu_slots alone is ambiguous: without one prepare()
+        # replaces the value, with one it does not.
+        cpu_slots, pipeline_depth = self._constructed_slots_depth
+        return (
+            type(self).__name__,
+            self.name,
+            cpu_slots,
+            self.uses_gpu,
+            self.recursive_kernels,
+            self.operation_pipeline,
+            pipeline_depth,
+            self.prog_gang_limit,
+            self._cpu_slots_override,
+        )
 
 
 class MixedWorkloadPolicy(HeteroPimPolicy):

@@ -29,11 +29,11 @@ Two tiers back the fingerprint:
 
 The disk tier is content-*verified*, not just content-addressed: every
 object is a self-describing envelope ``{"repro_object": 1, "meta": ...,
-"sha256": ..., "payload": ...}`` whose ``sha256`` covers the canonical
-payload JSON and whose ``meta`` records the run inputs (model, config,
-backend, steps, batch size) needed to *recompute* the object.  Reads
-verify the checksum per ``REPRO_VERIFY_READS``; anything damaged is
-quarantined to ``<cache-dir>/quarantine/`` (a counted
+"sha256": ..., "payload": ...}`` whose ``sha256`` covers the payload
+bytes exactly as stored and whose ``meta`` records the run inputs
+(model, config, backend, steps, batch size) needed to *recompute* the
+object.  Reads verify the checksum per ``REPRO_VERIFY_READS``; anything
+damaged is quarantined to ``<cache-dir>/quarantine/`` (a counted
 :class:`~repro.errors.CorruptObjectError` event, then a recomputable
 miss) — corrupt bytes are never returned.  ``repro cache fsck
 [--repair]`` audits the whole store offline (see
@@ -65,6 +65,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import marshal
 import os
 import sys
 import tempfile
@@ -138,9 +139,14 @@ _stats = {
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
+def _cache_root() -> str:
+    # read on every call: tests and tools repoint the store at run time
+    return os.environ.get(_ENV_DIR, ".repro-cache") or "."
+
+
 def cache_dir() -> Path:
     """Directory of the disk tier (not necessarily existing yet)."""
-    return Path(os.environ.get(_ENV_DIR, ".repro-cache"))
+    return Path(_cache_root())
 
 
 def disk_enabled() -> bool:
@@ -507,10 +513,25 @@ def _graph_signature_hash(graph: Graph) -> "hashlib._Hash":
     return state
 
 
+def _encoded_by_id(value, memo: Dict[int, str]) -> str:
+    """``_encode(value)`` as one string, memoized in ``memo`` by object
+    identity.  Only for frozen values; the entry evicts with the object,
+    so ids can't go stale."""
+    key = id(value)
+    encoded = memo.get(key)
+    if encoded is None:
+        parts = []
+        _encode(value, parts)
+        encoded = "".join(parts)
+        memo[key] = encoded
+        weakref.finalize(value, memo.pop, key, None)
+    return encoded
+
+
 #: Encoded SystemConfig per config object.  Configs are frozen dataclasses
 #: shared across a sweep's many runs (the api facade memoizes resolved
 #: instances), so encoding each once removes the dominant per-fingerprint
-#: cost.  Entries evict with the config object, so ids can't go stale.
+#: cost.
 _config_sig_cache: Dict[int, str] = {}
 
 
@@ -518,14 +539,36 @@ def config_signature(config: SystemConfig) -> str:
     """Canonical encoding of every field of ``config`` (memoized by
     object identity).  Shared by fingerprinting and the vectorized
     cost-table keying (:mod:`repro.sim.optable`)."""
-    key = id(config)
-    encoded = _config_sig_cache.get(key)
+    return _encoded_by_id(config, _config_sig_cache)
+
+
+#: Encoded FaultSpec per spec object (specs are frozen).  A caller that
+#: passes a new spec on every call misses this memo and pays one encoding,
+#: as it would without it.
+_faults_sig_cache: Dict[int, str] = {}
+
+#: Encoded ``(CACHE_SCHEMA, policy.signature())`` keyed by the signature's
+#: ``marshal`` bytes.  Policies are fresh per call, so identity can't key
+#: this; a plain tuple key can't either, because ``1 == 1.0 == True``
+#: while their encodings differ.  marshal writes only the exact core types
+#: (no subclasses), each with its own tag, and format 0 has no
+#: back-references, so equal bytes mean equal values of equal types,
+#: which encode alike.  A process sees a handful of signatures.
+_policy_sig_cache: Dict[bytes, str] = {}
+
+
+def _policy_encoding(signature: Tuple) -> str:
+    try:
+        key = marshal.dumps(signature, 0)
+    except ValueError:  # enums, subclasses, objects: encoded every time
+        key = None
+    encoded = _policy_sig_cache.get(key)
     if encoded is None:
         parts = []
-        _encode(config, parts)
+        _encode((CACHE_SCHEMA, signature), parts)
         encoded = "".join(parts)
-        _config_sig_cache[key] = encoded
-        weakref.finalize(config, _config_sig_cache.pop, key, None)
+        if key is not None:
+            _policy_sig_cache[key] = encoded
     return encoded
 
 
@@ -542,10 +585,19 @@ def run_fingerprint(
     effective_steps = (
         steps if steps is not None else config.runtime.measured_steps
     )
-    parts = []
-    _encode((CACHE_SCHEMA, policy.signature()), parts)
-    parts.append(config_signature(config))
-    _encode((effective_steps, faults), parts)
+    # the same string as encoding (CACHE_SCHEMA, signature), the config,
+    # then (effective_steps, faults), with each part taken from its memo
+    parts = [
+        _policy_encoding(policy.signature()),
+        config_signature(config),
+        "seq2[",
+    ]
+    _encode(effective_steps, parts)
+    if faults is None:
+        _encode(None, parts)
+    else:
+        parts.append(_encoded_by_id(faults, _faults_sig_cache))
+    parts.append("]")
     digest = _graph_signature_hash(graph).copy()
     digest.update("".join(parts).encode())
     return digest.hexdigest()
@@ -554,17 +606,18 @@ def run_fingerprint(
 # ---------------------------------------------------------------------------
 # tiers
 # ---------------------------------------------------------------------------
-def _object_path(fingerprint: str) -> Path:
+def _object_file(fingerprint: str) -> str:
+    """Path of one disk object as a string (what a read opens)."""
     # per-schema namespace: code only ever reads entries written by the
     # same CACHE_SCHEMA, so an entry written by newer code can never be
     # misinterpreted (or half-understood) by an older checkout
-    return (
-        cache_dir()
-        / "objects"
-        / f"v{CACHE_SCHEMA}"
-        / fingerprint[:2]
-        / f"{fingerprint}.json"
+    return "%s/objects/v%d/%s/%s.json" % (
+        _cache_root(), CACHE_SCHEMA, fingerprint[:2], fingerprint
     )
+
+
+def _object_path(fingerprint: str) -> Path:
+    return Path(_object_file(fingerprint))
 
 
 def quarantine_dir() -> Path:
@@ -614,12 +667,34 @@ def _envelope(result: RunResult, meta: Optional[Dict[str, object]]):
     return head + payload_json + "}", len(head)
 
 
-def _load_object_text(
-    text: str, path: Path, fingerprint: Optional[str], verify: bool
+#: Envelope bytes around the recorded digest (see :func:`_envelope`).
+_SHA_MARK = b',"sha256":"'
+_PAYLOAD_MARK = b'","payload":'
+
+
+def _stored_payload(data: bytes, recorded: str) -> Optional[bytes]:
+    """The payload bytes exactly as :func:`_envelope` wrote them after
+    the ``recorded`` digest, or None when the head lacks that layout."""
+    start = data.find(_SHA_MARK)
+    if start < 0 or not recorded.isascii():
+        return None
+    head_tail = recorded.encode() + _PAYLOAD_MARK
+    digest_at = start + len(_SHA_MARK)
+    payload_at = digest_at + len(head_tail)
+    if data[digest_at:payload_at] != head_tail or not data.endswith(b"}"):
+        return None
+    return data[payload_at:-1]
+
+
+def _load_object(
+    data: bytes, path, fingerprint: Optional[str], verify: bool
 ) -> RunResult:
-    """Parse one envelope; raise :class:`CorruptObjectError` on any damage."""
+    """Parse one envelope; raise :class:`CorruptObjectError` on any damage.
+
+    ``verify`` hashes the payload bytes as stored, so any edit to them
+    fails, even one that parses to the same values."""
     try:
-        envelope = json.loads(text)
+        envelope = json.loads(data)
     except (json.JSONDecodeError, ValueError) as exc:
         raise CorruptObjectError(path, f"not valid JSON ({exc})", fingerprint)
     if (
@@ -636,7 +711,12 @@ def _load_object_text(
             path, "envelope is missing payload or sha256", fingerprint
         )
     if verify:
-        actual = hashlib.sha256(canonical_dumps(payload).encode()).hexdigest()
+        stored = _stored_payload(data, recorded)
+        if stored is None:
+            raise CorruptObjectError(
+                path, "envelope head does not match its layout", fingerprint
+            )
+        actual = hashlib.sha256(stored).hexdigest()
         if actual != recorded:
             raise CorruptObjectError(
                 path,
@@ -657,10 +737,10 @@ def read_object(
 ) -> RunResult:
     """Strict loader (fsck, tools): raises :class:`CorruptObjectError`."""
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except OSError as exc:
         raise CorruptObjectError(path, f"unreadable ({exc})", fingerprint)
-    return _load_object_text(text, path, fingerprint, verify)
+    return _load_object(data, path, fingerprint, verify)
 
 
 def extract_meta(text: str) -> Optional[Dict[str, object]]:
@@ -740,18 +820,17 @@ def get(fingerprint: str) -> Optional[RunResult]:
         _note_tenant("hits", fingerprint)
         return result
     if disk_enabled():
-        path = _object_path(fingerprint)
+        path = _object_file(fingerprint)
         try:
-            text = path.read_text()
+            with open(path, "rb") as fh:
+                data = fh.read()
         except OSError:
             _stats["misses_absent"] += 1
         else:
             try:
-                result = _load_object_text(
-                    text, path, fingerprint, should_verify()
-                )
+                result = _load_object(data, path, fingerprint, should_verify())
             except CorruptObjectError as exc:
-                _note_corrupt(path, exc)
+                _note_corrupt(Path(path), exc)
                 result = None
         if isinstance(result, RunResult):
             _memory[fingerprint] = result

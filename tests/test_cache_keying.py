@@ -6,12 +6,17 @@ runs; every behavioural knob of a run must reach their keys, or a sweep
 configuration's numbers for another.
 """
 
+import enum
+import hashlib
+from dataclasses import replace
+
 import pytest
 
 from repro.baselines import build_configuration
 from repro.config import default_config
 from repro.faults import FaultSpec
 from repro.nn.models import build_model
+from repro.runtime.scheduler import HeteroPimPolicy, MixedWorkloadPolicy
 from repro.sim import cache as sim_cache
 from repro.sim.optable import cost_table
 from repro.sim.simulation import Simulation
@@ -96,6 +101,10 @@ class TestBackendKeying:
         assert "other-backend" in other.family
 
 
+class _Flag(enum.IntEnum):
+    ONE = 1
+
+
 class TestRunFingerprint:
     def test_config_knobs_change_the_fingerprint(self):
         graph, policy, config = _prepared()
@@ -122,6 +131,71 @@ class TestRunFingerprint:
         assert sim_cache.run_fingerprint(
             graph, policy, config, faults=spec_a
         ) == sim_cache.run_fingerprint(graph, policy, config, faults=spec_b)
+
+    def test_memoized_parts_make_the_one_encoding(self):
+        """The fingerprint takes its policy, config and fault-spec parts
+        from memos; it must equal the digest of the whole encoding."""
+
+        class FlagPolicy(HeteroPimPolicy):
+            def __init__(self, flag):
+                super().__init__()
+                self.flag = flag
+
+            def signature(self):
+                return super().signature() + (self.flag,)
+
+        graph, _policy, config = _prepared()
+        head = []
+        sim_cache._encode(sim_cache.graph_signature(graph), head)
+
+        def reference(policy, steps, faults):
+            parts = list(head)
+            sim_cache._encode(
+                (sim_cache.CACHE_SCHEMA, policy.signature()), parts
+            )
+            sim_cache._encode(config, parts)
+            effective = config.runtime.measured_steps if steps is None else steps
+            sim_cache._encode((effective, faults), parts)
+            return hashlib.sha256("".join(parts).encode()).hexdigest()
+
+        seen = set()
+        # 1, 1.0 and True are equal as tuple items but encode apart, and
+        # an IntEnum member is equal to 1 as well
+        for flag in (1, 1.0, True, 1, "1", _Flag.ONE, _Flag.ONE):
+            for steps in (None, 2):
+                for seed in (None, 1, 1):
+                    faults = (
+                        None
+                        if seed is None
+                        else FaultSpec.generate(
+                            seed=seed, horizon_s=0.05, n_events=2
+                        )
+                    )
+                    policy = FlagPolicy(flag)
+                    fp = sim_cache.run_fingerprint(
+                        graph, policy, config, steps, faults=faults
+                    )
+                    assert fp == reference(policy, steps, faults)
+                    seen.add(fp)
+        assert len(seen) == 5 * 2 * 2
+
+    @pytest.mark.parametrize(
+        "knob, value", [("cpu_slots", 4), ("pipeline_depth", 3)]
+    )
+    @pytest.mark.parametrize("mixed", [False, True], ids=["hetero", "co-run"])
+    def test_policy_fingerprint_survives_prepare(self, knob, value, mixed):
+        """prepare() overwrites cpu_slots and pipeline_depth from the
+        config; the same policy must fingerprint the same after it."""
+        base = default_config()
+        config = replace(base, runtime=replace(base.runtime, **{knob: value}))
+        graph = build_model("alexnet")
+        policy = (
+            MixedWorkloadPolicy(frozenset({"lstm"})) if mixed else HeteroPimPolicy()
+        )
+        before = sim_cache.run_fingerprint(graph, policy, config)
+        policy.prepare(graph, config)
+        assert getattr(policy, knob) == value
+        assert sim_cache.run_fingerprint(graph, policy, config) == before
 
 
 class TestNoCrossRunLeakage:

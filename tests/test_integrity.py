@@ -8,7 +8,9 @@ hypothesis sweep over corruption positions), and a failing disk demotes
 the store to memory-only instead of crashing the run.
 """
 
+import hashlib
 import json
+import re
 import time
 
 import pytest
@@ -27,6 +29,7 @@ from repro.experiments.common import cached_graph, resolve_configuration
 from repro.experiments.journal import RunJournal
 from repro.sim import cache as sim_cache
 from repro.sim import fsck as fsck_mod
+from repro.sim.results import canonical_dumps
 
 
 @pytest.fixture(autouse=True)
@@ -114,6 +117,55 @@ class TestEnvelope:
         healed_fp, healed = _simulate()
         assert healed_fp == fingerprint and healed == result
         assert sim_cache.read_object(path, fingerprint) == result
+
+    def test_json_equivalent_payload_edit_is_caught(self):
+        """The checksum covers the payload bytes as stored: an edit that
+        parses to the very same values (a float ``x.y`` -> ``x.y0``)
+        still fails, though re-encoding the parsed payload would match."""
+        fingerprint, _result = _simulate()
+        path = sim_cache._object_path(fingerprint)
+        clean = path.read_bytes()
+        start = _payload_offset(clean)
+        number = re.compile(rb"\d\.\d+(?=[,}\]])").search(clean, start)
+        edited = clean[: number.end()] + b"0" + clean[number.end():]
+        before, after = json.loads(clean), json.loads(edited)
+        assert after == before
+        assert hashlib.sha256(
+            canonical_dumps(after["payload"]).encode()
+        ).hexdigest() == after["sha256"]
+
+        path.write_bytes(edited)
+        sim_cache._memory.clear()
+        sim_cache.reset_stats()
+        assert sim_cache.get(fingerprint) is None
+        stats = sim_cache.stats()
+        assert stats["misses_corrupt"] == 1
+        assert stats["quarantined"] == 1
+        assert not path.exists()
+        assert list(sim_cache.quarantine_dir().rglob(path.name))
+
+        path.write_bytes(edited)
+        report = fsck_mod.fsck(repair=False)
+        assert report["objects"]["corrupt"] == 1
+        assert path.read_bytes() == edited
+
+    def test_non_utf8_byte_is_a_corrupt_miss(self, monkeypatch):
+        """A byte that is not UTF-8 fails the decode: an unverified read
+        quarantines it and fsck counts it, neither raises."""
+        monkeypatch.setenv("REPRO_VERIFY_READS", "off")
+        fingerprint, _result = _simulate()
+        path = sim_cache._object_path(fingerprint)
+        damaged = bytearray(path.read_bytes())
+        damaged[_payload_offset(bytes(damaged)) + 5] = 0xFF
+        path.write_bytes(bytes(damaged))
+        sim_cache._memory.clear()
+        sim_cache.reset_stats()
+        assert sim_cache.get(fingerprint) is None
+        assert sim_cache.stats()["misses_corrupt"] == 1
+        assert not path.exists()
+
+        path.write_bytes(bytes(damaged))
+        assert fsck_mod.fsck(repair=False)["objects"]["corrupt"] == 1
 
     def test_verify_mode_values(self, monkeypatch):
         for mode in ("off", "sample", "always"):

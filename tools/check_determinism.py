@@ -18,9 +18,13 @@ result cache, the runner, or the simulator's determinism, and fails CI.
 mid-run (once gracefully with SIGINT, once hard with SIGKILL) as soon as
 its journal shows completed jobs, then picked back up with
 ``repro resume`` — and the resumed artifact must be byte-identical to an
-uninterrupted serial baseline.  Each killed batch runs in its own process
-group, which the gate SIGKILLs afterwards; it fails if any process of that
-group still runs.  ``--all`` runs both gates.
+uninterrupted serial baseline.  The batch's four jobs run at once and
+finish within milliseconds of each other, so the killed run holds its
+second journal line back (:data:`CHAOS_HOLD`) to keep the batch
+unfinished when the signal lands; the gate fails if the batch completed
+anyway.  Each killed batch runs in its own process group, which the gate
+SIGKILLs afterwards; it fails if any process of that group still runs.
+``--all`` runs both gates.
 
 ``--validate`` runs every mode under the invariant checker
 (``REPRO_VALIDATE=1``, see :mod:`repro.validate`): any conservation or
@@ -138,6 +142,15 @@ def check_modes() -> int:
 #: fault-sweep simulations, but routed through the supervised pool).
 CHAOS_EXPERIMENT = "faults"
 
+#: ``REPRO_CHAOS`` spec of the killed run: the parent's second journal
+#: append (the line after the first completed job) sleeps 3 s.  Without
+#: it the whole batch takes about 0.2 s and the trigger (a ``done`` line)
+#: often fires only once the batch has completed.
+CHAOS_HOLD = (
+    '{"seed":0,"rules":[{"site":"journal.append","kind":"slow_io",'
+    '"at":[2],"delay_s":3.0}]}'
+)
+
 
 def _cli_env(cache_dir: Path, jobs: int) -> dict:
     env = dict(os.environ)
@@ -171,7 +184,11 @@ def _kill_midrun(cache_dir: Path, run_id: str, sig: signal.Signals) -> tuple:
     """Start the chaos experiment in its own process group, kill it once its
     journal shows progress (completed jobs), then SIGKILL whatever is left
     of the group: a SIGKILLed batch leaves its pool workers behind.
-    Return the exit code and the processes still running after that."""
+    Return the exit code, the processes still running after that, and
+    whether the signal interrupted the batch: it landed before the journal
+    recorded the batch ``complete``, and the batch never recorded it."""
+    env = _cli_env(cache_dir, jobs=4)
+    env["REPRO_CHAOS"] = CHAOS_HOLD
     proc = subprocess.Popen(
         [
             sys.executable,
@@ -182,16 +199,20 @@ def _kill_midrun(cache_dir: Path, run_id: str, sig: signal.Signals) -> tuple:
             "--run-id",
             run_id,
         ],
-        env=_cli_env(cache_dir, jobs=4),
+        env=env,
         cwd=REPO,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
         start_new_session=True,
     )
     journal = cache_dir / "journal" / f"{run_id}.jsonl"
+    complete = '"event":"complete"'
+    unfinished = False
     deadline = time.time() + 300
     while time.time() < deadline and proc.poll() is None:
-        if journal.exists() and '"status":"done"' in journal.read_text():
+        text = journal.read_text() if journal.exists() else ""
+        if '"status":"done"' in text:
+            unfinished = complete not in text
             proc.send_signal(sig)
             break
         time.sleep(0.05)
@@ -209,7 +230,8 @@ def _kill_midrun(cache_dir: Path, run_id: str, sig: signal.Signals) -> tuple:
     while survivors and time.time() < deadline:
         time.sleep(0.1)
         survivors = _running_in_group(proc.pid)
-    return proc.returncode, survivors
+    interrupted = unfinished and complete not in journal.read_text()
+    return proc.returncode, survivors, interrupted
 
 
 def check_chaos() -> int:
@@ -230,7 +252,14 @@ def check_chaos() -> int:
         )
         for name, sig in scenarios:
             cache_dir = workdir / f"cache-{name}"
-            code, survivors = _kill_midrun(cache_dir, f"chaos-{name}", sig)
+            code, survivors, interrupted = _kill_midrun(
+                cache_dir, f"chaos-{name}", sig
+            )
+            if not interrupted:
+                failures.append(
+                    f"{name}: the signal interrupted nothing (exit {code}): "
+                    "the batch had completed"
+                )
             if survivors:
                 failures.append(
                     f"{name}: {len(survivors)} process(es) of the killed "
@@ -252,7 +281,7 @@ def check_chaos() -> int:
                     f"{name}: resumed artifact differs from serial baseline "
                     f"(killed run exited {code})"
                 )
-            else:
+            elif interrupted:
                 print(
                     f"chaos {name}: killed mid-run (exit {code}), resumed "
                     f"byte-identical ({len(baseline)} artifact bytes)"
