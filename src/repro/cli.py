@@ -860,7 +860,7 @@ def _cmd_backends() -> int:
     from .hardware import registry
 
     for name in registry.list_backends():
-        descriptor = registry.get(name).describe()
+        descriptor = registry.get(name).descriptor
         configs = ", ".join(descriptor.configurations)
         default = descriptor.default_configuration
         print(f"{name}")

@@ -37,6 +37,7 @@ import threading
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 from ..config import SystemConfig
@@ -145,13 +146,18 @@ class HardwareBackend(ABC):
         from (frequency-scaled studies etc.).
         """
 
+    @cached_property
+    def descriptor(self) -> BackendDescriptor:
+        """:meth:`describe`, built once per backend instance."""
+        return self.describe()
+
     @property
     def configurations(self) -> Tuple[str, ...]:
-        return self.describe().configurations
+        return self.descriptor.configurations
 
     @property
     def default_configuration(self) -> str:
-        return self.describe().default_configuration
+        return self.descriptor.default_configuration
 
 
 _REGISTRY: Dict[str, HardwareBackend] = {}

@@ -3,13 +3,17 @@
 One long-lived asyncio process turns every existing subsystem into a
 multi-tenant serving primitive:
 
-* ``POST /v1/simulate`` — validate (:mod:`repro.serve.protocol`), admit
-  against the tenant's token bucket (:mod:`repro.serve.quota`), compute
+* ``POST /v1/simulate`` — validate (:mod:`repro.serve.protocol`), find
   the request's content fingerprint (:meth:`repro.api.Session.fingerprint`)
   and either serve the stored report, join an identical in-flight
-  request, or enqueue.  A worker pool drains a priority queue and runs
-  each request in a thread through :meth:`repro.api.Session.simulate`,
-  which shares the process-wide memory+disk result cache across tenants;
+  request, or admit it against the tenant's token bucket
+  (:mod:`repro.serve.quota`) and enqueue.  The fingerprint is computed
+  in a thread only the first time a run key is seen (it may build the
+  model graph); every repeat takes it from an in-memory id memo, so a
+  store hit never leaves the event loop.  A worker pool drains a
+  priority queue and runs each request in a thread through
+  :meth:`repro.api.Session.simulate`, which shares the process-wide
+  memory+disk result cache across tenants;
 * **dedup** — identical in-flight requests (same fingerprint) run the
   simulation once and fan the finished report out to every waiter;
 * **durability** — accepted requests are journaled
@@ -83,6 +87,16 @@ _LATENCY_BUCKETS = (
 
 #: Header carrying a per-request deadline budget in milliseconds.
 DEADLINE_HEADER = "x-repro-deadline-ms"
+
+#: Report store directory, relative to the cache root.
+REPORTS_DIR = "serve/reports"
+
+
+def report_file(request_id: str) -> str:
+    """Path of one stored report as a string (what a store hit opens)."""
+    return "%s/%s/%s/%s.json" % (
+        sim_cache.cache_root(), REPORTS_DIR, request_id[:2], request_id
+    )
 
 
 @dataclass
@@ -158,6 +172,9 @@ class ServeDaemon:
         self._seq = 0
         self._inflight: Dict[str, _Pending] = {}
         self._lifecycle: Dict[str, Dict[str, object]] = {}
+        #: request id of every run key seen (``SimulateRequest.run_key``);
+        #: like ``_lifecycle`` it grows only with distinct requests
+        self._request_ids: Dict[Tuple[object, ...], str] = {}
         self._sessions: Dict[str, api.Session] = {}
         self._worker_tasks: List[asyncio.Task] = []
         self._journal: Optional[RunJournal] = None
@@ -184,13 +201,12 @@ class ServeDaemon:
     @staticmethod
     def report_path(request_id: str) -> Path:
         """Durable location of one finished report (content-addressed)."""
-        return (
-            sim_cache.cache_dir()
-            / "serve"
-            / "reports"
-            / request_id[:2]
-            / f"{request_id}.json"
-        )
+        return Path(report_file(request_id))
+
+    @staticmethod
+    def sidecar_path(request_id: str) -> Path:
+        """Checksum sidecar beside one stored report."""
+        return Path(report_file(request_id) + ".sha256")
 
     def _counter(self, name: str):
         return self.metrics.counter(name)
@@ -585,13 +601,18 @@ class ServeDaemon:
         if self._draining:
             return 503, error_body(503, "daemon is draining"), []
         # fingerprinting builds the model graph on first sight — do it off
-        # the loop; everything after is await-free, hence dedup-atomic
-        try:
-            request_id = await asyncio.to_thread(
-                self._request_id_sync, request
-            )
-        except ReproError as exc:
-            return 400, error_body(400, str(exc)), []
+        # the loop, once per run key; everything after is await-free,
+        # hence dedup-atomic
+        run_key = request.run_key()
+        request_id = self._request_ids.get(run_key)
+        if request_id is None:
+            try:
+                request_id = await asyncio.to_thread(
+                    self._request_id_sync, request
+                )
+            except ReproError as exc:
+                return 400, error_body(400, str(exc)), []
+            self._request_ids[run_key] = request_id
         id_header = [("X-Repro-Request-Id", request_id)]
 
         body = self._read_stored_report(request_id)
@@ -736,12 +757,6 @@ class ServeDaemon:
         self._journal_record(pending.request_id, "degraded")
         return 200, (report.to_json() + "\n").encode()
 
-    @staticmethod
-    def sidecar_path(request_id: str) -> Path:
-        """Checksum sidecar beside one stored report."""
-        path = ServeDaemon.report_path(request_id)
-        return path.with_name(path.name + ".sha256")
-
     def _store_report(self, request_id: str, text: str) -> None:
         """Persist one report + checksum sidecar (atomic, degradable).
 
@@ -782,23 +797,26 @@ class ServeDaemon:
         from before the sidecar era serve unverified (``fsck`` flags
         them).
         """
-        stored = self.report_path(request_id)
+        stored = report_file(request_id)
         try:
-            data = stored.read_bytes()
+            with open(stored, "rb") as fh:
+                data = fh.read()
         except OSError:
             return None
-        sidecar = self.sidecar_path(request_id)
-        if sim_cache.should_verify() and sidecar.is_file():
-            try:
-                recorded = sidecar.read_text().strip()
-            except OSError:
-                recorded = ""
-            if recorded and hashlib.sha256(data).hexdigest() != recorded:
-                self._counter("serve.report_corrupt").inc()
-                GLOBAL_REGISTRY.counter("serve.corrupt_reports").inc()
-                sim_cache.quarantine(stored)
-                sim_cache.quarantine(sidecar)
-                return None
+        if not sim_cache.should_verify():
+            return data
+        sidecar = stored + ".sha256"
+        try:
+            with open(sidecar, "rb") as fh:
+                recorded = fh.read().strip()
+        except OSError:
+            return data
+        if recorded and hashlib.sha256(data).hexdigest().encode() != recorded:
+            self._counter("serve.report_corrupt").inc()
+            GLOBAL_REGISTRY.counter("serve.corrupt_reports").inc()
+            sim_cache.quarantine(Path(stored))
+            sim_cache.quarantine(Path(sidecar))
+            return None
         return data
 
     # -- GET endpoints -----------------------------------------------------
@@ -864,7 +882,7 @@ class ServeDaemon:
         from ..hardware import registry
 
         backends = {
-            name: registry.get(name).describe().to_dict()
+            name: registry.get(name).descriptor.to_dict()
             for name in registry.list_backends()
         }
         body = (

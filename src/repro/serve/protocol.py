@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..errors import ProtocolError
 
@@ -67,6 +67,22 @@ class SimulateRequest:
             "backend": self.backend,
             "surrogate": self.surrogate,
         }
+
+    def run_key(self) -> Tuple[object, ...]:
+        """The fields :meth:`simulate_kwargs` passes, as a hashable key.
+
+        They decide the request's fingerprint; ``tenant``, ``priority``
+        and ``wait`` do not.
+        """
+        return (
+            self.model,
+            self.config,
+            self.steps,
+            self.batch_size,
+            self.frequency_scale,
+            self.backend,
+            self.surrogate,
+        )
 
     def to_dict(self) -> Dict[str, object]:
         return asdict(self)

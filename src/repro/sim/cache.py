@@ -139,14 +139,15 @@ _stats = {
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
-def _cache_root() -> str:
+def cache_root() -> str:
+    """Directory of the disk tier as a string (what hot reads join onto)."""
     # read on every call: tests and tools repoint the store at run time
     return os.environ.get(_ENV_DIR, ".repro-cache") or "."
 
 
 def cache_dir() -> Path:
     """Directory of the disk tier (not necessarily existing yet)."""
-    return Path(_cache_root())
+    return Path(cache_root())
 
 
 def disk_enabled() -> bool:
@@ -612,7 +613,7 @@ def _object_file(fingerprint: str) -> str:
     # same CACHE_SCHEMA, so an entry written by newer code can never be
     # misinterpreted (or half-understood) by an older checkout
     return "%s/objects/v%d/%s/%s.json" % (
-        _cache_root(), CACHE_SCHEMA, fingerprint[:2], fingerprint
+        cache_root(), CACHE_SCHEMA, fingerprint[:2], fingerprint
     )
 
 

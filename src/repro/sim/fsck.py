@@ -251,10 +251,10 @@ def _write_report(request_id: str, path: Path, data: bytes) -> bool:
 
 
 def _scan_reports(report: Report, repair: bool) -> None:
-    from ..serve.daemon import ServeDaemon
+    from ..serve.daemon import REPORTS_DIR, ServeDaemon
 
     reports = report["reports"]
-    root = sim_cache.cache_dir() / "serve" / "reports"
+    root = sim_cache.cache_dir() / REPORTS_DIR
     if not root.is_dir():
         return
     journaled: Optional[Dict[str, Dict[str, object]]] = None

@@ -122,6 +122,26 @@ class TestDescriptors:
             desc = registry.get(name).describe()
             assert desc.default_configuration in desc.configurations
 
+    @pytest.mark.parametrize("name", BUILTIN_BACKENDS)
+    def test_descriptor_is_described_once_per_instance(self, name):
+        backend = type(registry.get(name))()
+        calls = []
+        describe = backend.describe
+
+        def counting_describe():
+            calls.append(1)
+            return describe()
+
+        backend.describe = counting_describe
+        for _ in range(3):
+            assert backend.configurations == describe().configurations
+            assert (
+                backend.default_configuration
+                == describe().default_configuration
+            )
+        assert len(calls) == 1
+        assert backend.descriptor is backend.descriptor
+
 
 class TestRivalBackends:
     @pytest.mark.parametrize("backend", ("gradpim", "neurotrainer"))

@@ -19,10 +19,11 @@ from pathlib import Path
 import pytest
 
 from repro import api
-from repro.errors import ProtocolError, ServeError
+from repro.errors import ProtocolError, ReproError, ServeError
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.serve import start_in_thread
 from repro.serve.bench import http_request, percentile, post_simulate
+from repro.serve.daemon import ServeDaemon
 from repro.serve.http import read_request, render_response
 from repro.serve.protocol import (
     DEFAULT_TENANT,
@@ -379,6 +380,156 @@ class TestDaemonEndToEnd:
             handle.stop()  # drain=True: must finish the queued request
         stats = sim_cache.stats()
         assert stats["misses"] == 1 and stats["stores"] == 1
+
+
+class TestRequestIdMemo:
+    """A repeated request takes its id from the daemon's memo: no thread
+    hop and no fingerprint."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = {"request_id": 0, "fingerprint": 0, "to_thread": 0}
+        request_id_sync = ServeDaemon._request_id_sync
+        fingerprint = api.Session.fingerprint
+        to_thread = asyncio.to_thread
+
+        def counting_request_id(self, request):
+            calls["request_id"] += 1
+            return request_id_sync(self, request)
+
+        def counting_fingerprint(self, *args, **kwargs):
+            calls["fingerprint"] += 1
+            return fingerprint(self, *args, **kwargs)
+
+        async def counting_to_thread(func, *args, **kwargs):
+            calls["to_thread"] += 1
+            return await to_thread(func, *args, **kwargs)
+
+        monkeypatch.setattr(
+            ServeDaemon, "_request_id_sync", counting_request_id
+        )
+        monkeypatch.setattr(api.Session, "fingerprint", counting_fingerprint)
+        monkeypatch.setattr(asyncio, "to_thread", counting_to_thread)
+        return calls
+
+    def test_repeats_fingerprint_once_and_never_leave_the_loop(self, counted):
+        handle = start_in_thread(workers=1)
+        try:
+            first = post_simulate(handle.host, handle.port, REQUEST)
+            assert first[1]["x-repro-served-from"] == "run"
+            after_first = dict(counted)
+            repeats = [
+                post_simulate(
+                    handle.host, handle.port, dict(REQUEST, tenant=f"t{i}")
+                )
+                for i in range(5)
+            ]
+        finally:
+            handle.stop()
+        assert after_first["request_id"] == 1
+        assert counted == after_first  # no hop, no fingerprint, no resolve
+        for status, headers, body in repeats:
+            assert status == 200 and body == first[2]
+            assert headers["x-repro-served-from"] == "store"
+            assert (
+                headers["x-repro-request-id"]
+                == first[1]["x-repro-request-id"]
+            )
+
+    def test_memoized_ids_equal_the_session_fingerprint(self, counted):
+        base = {"model": "lstm", "steps": 1}
+        # (first request, repeat with the same run key, fingerprint kwargs)
+        cases = [
+            (dict(base, surrogate=True),) * 2 + (dict(surrogate=True),),
+            (
+                dict(base, frequency_scale=1),
+                dict(base, frequency_scale=1.0),
+                dict(frequency_scale=1),
+            ),
+            (dict(base, batch_size=4),) * 2 + (dict(batch_size=4),),
+            (dict(base, backend="hmc-hetero"),) * 2
+            + (dict(backend="hmc-hetero"),),
+            (base, base, {}),
+        ]
+        handle = start_in_thread(workers=1)
+        try:
+            firsts = [
+                post_simulate(handle.host, handle.port, first)
+                for first, _repeat, _kwargs in cases
+            ]
+            sights = counted["request_id"]
+            repeats = [
+                post_simulate(handle.host, handle.port, repeat)
+                for _first, repeat, _kwargs in cases
+            ]
+        finally:
+            handle.stop()
+        # frequency_scale 1 is the default's run key: four distinct keys
+        run_keys = {
+            parse_simulate_request(json.dumps(first).encode()).run_key()
+            for first, _repeat, _kwargs in cases
+        }
+        assert sights == len(run_keys) == 4
+        assert counted["request_id"] == sights
+        session = api.Session("anonymous")
+        for (_f, _r, kwargs), first, repeat in zip(cases, firsts, repeats):
+            assert first[0] == 200 and repeat[0] == 200
+            expected = session.fingerprint("lstm", steps=1, **kwargs)
+            assert first[1]["x-repro-request-id"] == expected
+            assert repeat[1]["x-repro-request-id"] == expected
+            assert repeat[1]["x-repro-served-from"] == "store"
+        assert firsts[0][1]["x-repro-request-id"].endswith("-est")
+
+    def test_rejected_requests_are_not_memoized(self, monkeypatch):
+        def refuse(self, request):
+            raise ReproError("fingerprint refused")
+
+        monkeypatch.setattr(ServeDaemon, "_request_id_sync", refuse)
+        handle = start_in_thread(workers=1)
+        try:
+            status, _h, body = post_simulate(handle.host, handle.port, REQUEST)
+            memo = dict(handle.daemon._request_ids)
+        finally:
+            handle.stop()
+        assert status == 400 and b"fingerprint refused" in body
+        assert memo == {}
+
+
+class TestStoreIntegrity:
+    @pytest.mark.parametrize("damaged", ["report", "sidecar"])
+    def test_corrupt_stored_report_is_recomputed_not_served(
+        self, monkeypatch, damaged
+    ):
+        monkeypatch.setenv("REPRO_VERIFY_READS", "always")
+        handle = start_in_thread(workers=1)
+        try:
+            status1, headers1, body1 = post_simulate(
+                handle.host, handle.port, REQUEST
+            )
+            assert status1 == 200
+            request_id = headers1["x-repro-request-id"]
+            stored = ServeDaemon.report_path(request_id)
+            if damaged == "report":
+                data = bytearray(body1)
+                data[len(data) // 2] ^= 0x01
+                stored.write_bytes(bytes(data))
+            else:  # a sidecar that is not even text
+                ServeDaemon.sidecar_path(request_id).write_bytes(b"\xff\n")
+            status2, headers2, body2 = post_simulate(
+                handle.host, handle.port, REQUEST
+            )
+            status3, headers3, body3 = post_simulate(
+                handle.host, handle.port, REQUEST
+            )
+            counters = dict(handle.daemon.metrics.snapshot())
+        finally:
+            handle.stop()
+        # the damaged store is not served: the body is recomputed
+        assert status2 == 200 and body2 == body1
+        assert headers2["x-repro-served-from"] != "store"
+        assert counters["serve.report_corrupt"] == 1
+        assert status3 == 200 and body3 == body1
+        assert headers3["x-repro-served-from"] == "store"
 
 
 # ---------------------------------------------------------------------------
