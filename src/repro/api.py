@@ -280,8 +280,11 @@ def simulate(
         Optional :class:`~repro.faults.FaultSpec`.  The run injects the
         spec's fault events and reacts (retries, offload re-selection,
         graceful degradation) so every training step still completes; the
-        fault/recovery log lands on ``report.faults``.  The spec is part
-        of the cache fingerprint.
+        fault/recovery log (events, re-selections, counts) lands on
+        ``report.faults``.  The per-task retry and degradation records are
+        kept only on a live run's timeline (``observe``), which exports
+        them to the trace's fault lane.  The spec is part of the cache
+        fingerprint.
     validate:
         Run under the invariant checker (:mod:`repro.validate`).  The
         simulation executes live with a timeline and every

@@ -645,9 +645,7 @@ def _cmd_surrogate(args: argparse.Namespace) -> int:
                   f"LOO mean {head['loo_mean_rel']:.2%}, "
                   f"band +/-{head['band_key_rel']:.1%}")
         if misses:
-            print(f"  ({len(misses)} training points not cached — run "
-                  "'repro experiment summary' to add them)",
-                  file=sys.stderr)
+            _print_surrogate_misses(misses)
         return 0
     if args.surrogate_command == "eval":
         outcome = evaluate_from_cache()
@@ -667,6 +665,29 @@ def _cmd_surrogate(args: argparse.Namespace) -> int:
     raise AssertionError(
         f"unhandled surrogate command {args.surrogate_command!r}"
     )
+
+
+def _print_surrogate_misses(misses: List[str]) -> None:
+    """Name each uncached training point with a command that caches it.
+
+    A standard-grid point is one ``repro run`` at its default steps; the
+    sweep and co-run points are what ``repro experiment summary`` makes.
+    """
+    from .surrogate.dataset import STANDARD_GRID
+
+    grid = {f"{model}/{config}" for model, config in STANDARD_GRID}
+    print(f"  {len(misses)} training points not cached:", file=sys.stderr)
+    swept = []
+    for label in misses:
+        if label in grid:
+            model, config = label.split("/")
+            print(f"    {label}: repro run {model} --config {config}",
+                  file=sys.stderr)
+        else:
+            swept.append(label)
+    if swept:
+        print(f"    {', '.join(swept)}: repro experiment summary",
+              file=sys.stderr)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

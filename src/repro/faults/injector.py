@@ -12,10 +12,14 @@ applies it to the hardware models:
   fall back to the CPU);
 * DRAM derates scale the in-stack bandwidth seen by streaming phases.
 
-It also owns the run's fault/recovery log (injected events, retries,
-degradations, offload re-selections), which lands on the result record
-(``RunResult.faults``) and in the Chrome trace's fault lane — and the
-idle/busy register file the scheduler consults while faults are active.
+It also owns the idle/busy register file the scheduler consults while
+faults are active, and the run's fault/recovery log.  The result record
+(``RunResult.faults``) gets the injected events, the offload
+re-selections and the count of every record kind.  The per-task retries
+and degradations go to the simulation's
+:class:`~repro.sim.timeline.Timeline` when it records one, where the
+Chrome trace's fault lane reads them; a cached result stays proportional
+to the injected events, not to the tasks.
 
 The simulation holds its injector, so the injector keeps no reference to
 the simulation: each scheduled event carries it as an argument instead,
@@ -46,9 +50,10 @@ class FaultInjector:
     def __init__(self, spec: FaultSpec, sim):
         self.spec = spec
         self.events_log: List[Dict[str, object]] = []
-        self.retries: List[Dict[str, object]] = []
-        self.degradations: List[Dict[str, object]] = []
         self.reselections: List[Dict[str, object]] = []
+        self.n_retries = 0
+        self.n_degradations = 0
+        self._timeline = sim.timeline
         self._throttles: Dict[int, float] = {}
         self._derates: Dict[int, float] = {}
         geometry = StackGeometry(sim.config.stack)
@@ -174,12 +179,18 @@ class FaultInjector:
     # recovery log (fed by the scheduler)
     # ------------------------------------------------------------------
     def log_retry(self, now: float, uid: str, attempt: int, delay_s: float) -> None:
-        self.retries.append(
-            {"t_s": now, "uid": uid, "attempt": attempt, "delay_s": delay_s}
-        )
+        self.n_retries += 1
+        if self._timeline is not None:
+            self._timeline.retries.append(
+                {"t_s": now, "uid": uid, "attempt": attempt, "delay_s": delay_s}
+            )
 
     def log_degradation(self, now: float, uid: str, frm: str, to: str) -> None:
-        self.degradations.append({"t_s": now, "uid": uid, "from": frm, "to": to})
+        self.n_degradations += 1
+        if self._timeline is not None:
+            self._timeline.degradations.append(
+                {"t_s": now, "uid": uid, "from": frm, "to": to}
+            )
 
     def log_reselection(self, now: float, retargeted: int) -> None:
         self.reselections.append({"t_s": now, "retargeted": retargeted})
@@ -192,19 +203,17 @@ class FaultInjector:
         return {
             "spec": self.spec.to_dict(),
             "events": list(self.events_log),
-            "retries": list(self.retries),
-            "degradations": list(self.degradations),
             "reselections": list(self.reselections),
             "counts": {
                 "events": len(self.events_log),
-                "retries": len(self.retries),
-                "degradations": len(self.degradations),
+                "retries": self.n_retries,
+                "degradations": self.n_degradations,
                 "reselections": len(self.reselections),
             },
         }
 
     def publish_metrics(self, registry) -> None:
         registry.gauge("faults.events").set(len(self.events_log))
-        registry.gauge("faults.retries").set(len(self.retries))
-        registry.gauge("faults.degradations").set(len(self.degradations))
+        registry.gauge("faults.retries").set(self.n_retries)
+        registry.gauge("faults.degradations").set(self.n_degradations)
         registry.gauge("faults.reselections").set(len(self.reselections))

@@ -55,8 +55,9 @@ def build_trace_events(
     """Convert timeline entries (+ annotations) into Trace Event dicts.
 
     ``faults`` is a ``RunResult.faults`` fault/recovery log; when present
-    its injected events, retries, degradations and re-selections render as
-    instant events on a dedicated "faults" lane.
+    its injected events and re-selections, and the per-task retries and
+    degradations that ``timeline`` (a :class:`Timeline`) recorded, render
+    as instant events on a dedicated "faults" lane.
     """
     entries = (
         list(timeline.entries) if isinstance(timeline, Timeline) else list(timeline)
@@ -224,13 +225,17 @@ def build_trace_events(
                     dict(entry),
                 )
             )
-        for entry in faults.get("retries", ()):
+        if isinstance(timeline, Timeline):
+            retries, degradations = timeline.retries, timeline.degradations
+        else:
+            retries = degradations = ()
+        for entry in retries:
             events.append(
                 fault_instant(
                     f"retry:{entry['uid']}", "fault-retry", entry["t_s"], dict(entry)
                 )
             )
-        for entry in faults.get("degradations", ()):
+        for entry in degradations:
             events.append(
                 fault_instant(
                     f"degrade:{entry['uid']}",

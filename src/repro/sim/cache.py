@@ -100,7 +100,9 @@ if TYPE_CHECKING:
 # 6: disk objects became checksummed self-describing envelopes
 # (repro_object/meta/sha256/payload) — bare-RunResult v5 files would fail
 # envelope validation, so the namespace advances with the format.
-CACHE_SCHEMA = 6
+# 7: per-task retries/degradations left the fault log (they are timeline
+# records now; the log keeps their counts).
+CACHE_SCHEMA = 7
 
 #: Envelope format tag inside each object file (orthogonal to
 #: ``CACHE_SCHEMA``: the namespace isolates *result* semantics, this tag

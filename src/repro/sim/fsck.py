@@ -262,9 +262,11 @@ def _scan_reports(report: Report, repair: bool) -> None:
         reports["scanned"] += 1
         request_id = entry.stem
         sidecar = ServeDaemon.sidecar_path(request_id)
-        recorded = ""
+        # bytes, as the daemon compares them: a non-UTF-8 sidecar is a
+        # damaged report, not an aborted audit
+        recorded = b""
         try:
-            recorded = sidecar.read_text().strip()
+            recorded = sidecar.read_bytes().strip()
         except OSError:
             pass
         try:
@@ -274,7 +276,7 @@ def _scan_reports(report: Report, repair: bool) -> None:
         damaged = False
         if not recorded:
             reports["unverified"] += 1
-        elif hashlib.sha256(stored).hexdigest() == recorded:
+        elif hashlib.sha256(stored).hexdigest().encode() == recorded:
             reports["ok"] += 1
             continue
         else:

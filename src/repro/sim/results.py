@@ -74,8 +74,11 @@ class RunResult:
     selection: Optional[Dict[str, object]] = None
     #: Flat observability snapshot (engine/scheduler/pool counters).
     metrics: Optional[Dict[str, float]] = None
-    #: Fault/recovery log (spec, injected events, retries, degradations,
-    #: re-selections) when the run was fault-injected; None otherwise.
+    #: Fault/recovery log when the run was fault-injected (None otherwise):
+    #: spec, injected events, re-selections and ``counts`` of every record
+    #: kind.  Per-task retries and degradations are not stored here; a
+    #: run that records a timeline keeps them on ``Timeline.retries`` and
+    #: ``Timeline.degradations``.
     faults: Optional[Dict[str, object]] = None
 
     @property

@@ -1,9 +1,11 @@
 """Schedule timeline recording and ASCII Gantt rendering.
 
 When enabled, the simulator records one :class:`TimelineEntry` per executed
-task (device, start, end, step).  The timeline is the raw material for
-schedule visualization (``examples/schedule_timeline.py``) and for
-schedule-level assertions in tests (device exclusivity, dependence order).
+task (device, start, end, step) and, on a fault-injected run, one record
+per fault retry and per degraded task.  The timeline is the raw material
+for schedule visualization (``examples/schedule_timeline.py``), for the
+Chrome trace's fault lane and for schedule-level assertions in tests
+(device exclusivity, dependence order).
 """
 
 from __future__ import annotations
@@ -49,9 +51,13 @@ class TimelineEntry:
 
 @dataclass
 class Timeline:
-    """Ordered record of task executions."""
+    """Ordered record of task executions and per-task fault recoveries."""
 
     entries: List[TimelineEntry] = field(default_factory=list)
+    #: ``{t_s, uid, attempt, delay_s}`` per fault retry, in log order.
+    retries: List[Dict[str, object]] = field(default_factory=list)
+    #: ``{t_s, uid, from, to}`` per degraded task, in log order.
+    degradations: List[Dict[str, object]] = field(default_factory=list)
 
     def add(self, entry: TimelineEntry) -> None:
         self.entries.append(entry)

@@ -8,14 +8,22 @@ two fixed-pool configurations, a hand-built failure of lstm's last two
 banks, a Fig 16 co-run (merged graph under ``MixedWorkloadPolicy``, clean
 and faulted) with its restricted tenant solo, and one Fig 11
 frequency-scale and one Fig 12 prog-PIM-count variant.  Any change to the
-bytes of any of these results fails here.  Regenerate the map only for an
-intended behavioural change:
+bytes of any of these results fails here.
+
+A faulted entry's digest covers its per-task recovery records too.  The
+result keeps only their counts, so each faulted run is simulated with a
+timeline, and the timeline's retries and degradations are put back into
+the fault log as ``faults["retries"]``/``faults["degradations"]`` before
+hashing.  The same run without a timeline must encode to that record
+minus those two lists.
+
+Regenerate the map only for an intended behavioural change:
 
     PYTHONPATH=src python tests/test_engine_corpus.py --write
 
-The property test at the bottom pins that the fault hooks are free: a
+The property tests at the bottom pin that the fault hooks are free (a
 fault spec with no events leaves every result field but the fault log
-unchanged.
+unchanged) and that recording a timeline never changes a faulted result.
 """
 
 import functools
@@ -37,6 +45,7 @@ from repro.hardware import registry
 from repro.hardware.hmc import StackGeometry
 from repro.nn.layers import GraphBuilder
 from repro.nn.models import ALL_MODELS, build_model
+from repro.sim.results import canonical_dumps
 from repro.sim.simulation import Simulation
 
 CORPUS = pathlib.Path(__file__).parent / "golden" / "engine_corpus.json"
@@ -103,15 +112,27 @@ def _spec(config, seed, horizon_s):
     )
 
 
-def _faulted(model, variant, seed):
+def _simulate_faulted(graph, policy, config, spec, record_timeline):
+    """``(result, timeline)`` of a faulted run; the timeline is None
+    unless ``record_timeline``."""
+    sim = Simulation(
+        graph,
+        policy,
+        config=config,
+        steps=STEPS,
+        faults=spec,
+        record_timeline=record_timeline,
+    )
+    return sim.run(), sim.timeline
+
+
+def _faulted(model, variant, seed, record_timeline=False):
     config, policy = _setup(variant)
     spec = _spec(config, seed, _clean(model, variant).makespan_s)
-    return Simulation(
-        _graph(model), policy, config=config, steps=STEPS, faults=spec
-    ).run()
+    return _simulate_faulted(_graph(model), policy, config, spec, record_timeline)
 
 
-def _trailing_banks_failed(model, variant):
+def _trailing_banks_failed(model, variant, record_timeline=False):
     config, policy = _setup(variant)
     makespan_s = _clean(model, variant).makespan_s
     spec = FaultSpec(
@@ -120,22 +141,21 @@ def _trailing_banks_failed(model, variant):
             for bank, share in TRAILING_BANK_FAILURES
         )
     )
-    return Simulation(
-        _graph(model), policy, config=config, steps=STEPS, faults=spec
-    ).run()
+    return _simulate_faulted(_graph(model), policy, config, spec, record_timeline)
 
 
 @functools.lru_cache(maxsize=None)
-def _corun(seed=None):
-    """The Fig 16 co-run job (merged graph, tenant-restricting policy),
-    clean or under the seeded fault spec sized to the clean makespan."""
+def _corun():
+    """The Fig 16 co-run job (merged graph, tenant-restricting policy)."""
     graph, policy, config, _ = fig16._corun_job(*CORUN, CORUN_K)
-    spec = None
-    if seed is not None:
-        spec = _spec(config, seed, _corun().makespan_s)
-    return Simulation(
-        graph, policy, config=config, steps=STEPS, faults=spec
-    ).run()
+    return Simulation(graph, policy, config=config, steps=STEPS).run()
+
+
+def _corun_faulted(seed, record_timeline=False):
+    """The co-run under the seeded fault spec sized to the clean makespan."""
+    graph, policy, config, _ = fig16._corun_job(*CORUN, CORUN_K)
+    spec = _spec(config, seed, _corun().makespan_s)
+    return _simulate_faulted(graph, policy, config, spec, record_timeline)
 
 
 def _restricted_solo():
@@ -144,8 +164,11 @@ def _restricted_solo():
 
 
 def _entries():
-    """``{key: thunk}`` for every corpus run, in a fixed order."""
+    """``{key: thunk}`` for every corpus run, in a fixed order, and the set
+    of faulted keys, whose thunks take ``record_timeline`` and return
+    ``(result, timeline)``."""
     entries = {}
+    faulted = set()
     for model in ALL_MODELS:
         for variant in CONFIGS + ABLATIONS:
             entries[f"{model}-{variant}"] = functools.partial(
@@ -158,17 +181,19 @@ def _entries():
     for model in FAULT_MODELS:
         for variant in FAULT_CONFIGS:
             for seed in FAULT_SEEDS:
-                entries[f"{model}-{variant}-fault-seed-{seed}"] = (
-                    functools.partial(_faulted, model, variant, seed)
-                )
-    entries["lstm-hetero-pim-trailing-banks-failed"] = functools.partial(
+                key = f"{model}-{variant}-fault-seed-{seed}"
+                entries[key] = functools.partial(_faulted, model, variant, seed)
+                faulted.add(key)
+    key = "lstm-hetero-pim-trailing-banks-failed"
+    entries[key] = functools.partial(
         _trailing_banks_failed, "lstm", "hetero-pim"
     )
+    faulted.add(key)
     corun = f"{CORUN[0]}+{CORUN_K}x{CORUN[1]}"
     entries[f"corun-{corun}"] = _corun
-    entries[f"corun-{corun}-fault-seed-{CORUN_FAULT_SEED}"] = (
-        functools.partial(_corun, CORUN_FAULT_SEED)
-    )
+    key = f"corun-{corun}-fault-seed-{CORUN_FAULT_SEED}"
+    entries[key] = functools.partial(_corun_faulted, CORUN_FAULT_SEED)
+    faulted.add(key)
     entries[f"{CORUN[1]}-restricted-solo"] = _restricted_solo
     entries["resnet-50-hetero-pim-freq-4x"] = functools.partial(
         _clean, "resnet-50", "hetero-pim-freq-4x"
@@ -176,14 +201,39 @@ def _entries():
     entries["resnet-50-hetero-pim-16p"] = functools.partial(
         _clean, "resnet-50", "hetero-pim-16p"
     )
-    return entries
+    return entries, faulted
 
 
-ENTRIES = _entries()
+ENTRIES, FAULTED = _entries()
 
 
-def _digest(result):
-    return hashlib.sha256(result.to_json().encode()).hexdigest()
+def _with_recovery_records(result, timeline):
+    """``result``'s record with the timeline's per-task retries and
+    degradations put back into its fault log."""
+    record = json.loads(result.to_json())
+    faults = record["faults"]
+    assert "retries" not in faults and "degradations" not in faults
+    assert faults["counts"]["retries"] == len(timeline.retries)
+    assert faults["counts"]["degradations"] == len(timeline.degradations)
+    faults["retries"] = timeline.retries
+    faults["degradations"] = timeline.degradations
+    return canonical_dumps(record)
+
+
+def _pinned_text(key):
+    """The bytes the corpus pins for ``key``."""
+    if key not in FAULTED:
+        return ENTRIES[key]().to_json()
+    result, timeline = ENTRIES[key](record_timeline=True)
+    unrecorded, _ = ENTRIES[key]()
+    assert unrecorded.to_json() == result.to_json(), (
+        f"{key}: recording a timeline changed the result"
+    )
+    return _with_recovery_records(result, timeline)
+
+
+def _digest(key):
+    return hashlib.sha256(_pinned_text(key).encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -197,7 +247,7 @@ def test_corpus_covers_every_entry(corpus):
 
 @pytest.mark.parametrize("key", list(ENTRIES))
 def test_pinned_digest(corpus, key):
-    assert _digest(ENTRIES[key]()) == corpus[key], (
+    assert _digest(key) == corpus[key], (
         f"{key}: the simulated result's bytes changed"
     )
 
@@ -287,9 +337,44 @@ def test_event_free_fault_spec_changes_only_the_fault_log(
     assert _without_fault_log(hooked) == _without_fault_log(clean)
 
 
+@given(
+    graph=small_training_graph(),
+    config_name=st.sampled_from(FAULT_CONFIGS),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    n_events=st.integers(min_value=1, max_value=4),
+)
+@settings(max_examples=20, deadline=None)
+def test_recording_a_timeline_leaves_a_faulted_result_unchanged(
+    graph, config_name, seed, n_events
+):
+    config, policy = build_configuration(config_name)
+    clean = Simulation(graph, policy, config=config, steps=STEPS).run()
+    spec = FaultSpec.generate(
+        seed=seed, horizon_s=clean.makespan_s, n_events=n_events
+    )
+    runs = []
+    for record_timeline in (False, True):
+        config, policy = build_configuration(config_name)
+        sim = Simulation(
+            graph,
+            policy,
+            config=config,
+            steps=STEPS,
+            faults=spec,
+            record_timeline=record_timeline,
+        )
+        runs.append((sim.run(), sim.timeline))
+    (plain, no_timeline), (recorded, timeline) = runs
+    assert no_timeline is None
+    assert plain.to_json() == recorded.to_json()
+    counts = recorded.faults["counts"]
+    assert len(timeline.retries) == counts["retries"]
+    assert len(timeline.degradations) == counts["degradations"]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_engine_corpus.py --write")
-    digests = {key: _digest(run()) for key, run in ENTRIES.items()}
+    digests = {key: _digest(key) for key in ENTRIES}
     CORPUS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(digests)} digests to {CORPUS}")

@@ -333,6 +333,21 @@ class TestFsck:
         assert path.read_bytes() == bytes(data)  # untouched without --repair
         path.write_bytes(snapshot[path])
 
+    def test_non_utf8_report_sidecar_is_corrupt_not_a_crash(self):
+        from pathlib import Path
+
+        from repro.serve.daemon import ServeDaemon, report_file
+
+        request_id = "ab" + "0" * 62
+        path = Path(report_file(request_id))
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b'{"report": 1}\n')
+        ServeDaemon.sidecar_path(request_id).write_bytes(b"\xff\xfe\n")
+        report = fsck_mod.fsck(repair=False)
+        assert report["reports"]["scanned"] == 1
+        assert report["reports"]["corrupt"] == 1
+        assert not fsck_mod.clean(report)
+
     def test_faulted_object_is_unrepairable_but_quarantined(self):
         fingerprint, result = _simulate()
         path = sim_cache._object_path(fingerprint)

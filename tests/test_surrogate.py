@@ -216,6 +216,24 @@ class TestCli:
         assert "Traceback" not in captured.err
         assert len(captured.err.strip().splitlines()) == 1
 
+    def test_a_missed_grid_point_names_a_command_that_caches_it(
+        self, private_cache, capsys
+    ):
+        from repro.surrogate.dataset import collect_rows
+
+        cli._print_surrogate_misses(["gnn/cpu", "alexnet/hetero-pim@f2"])
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].strip() == "2 training points not cached:"
+        assert lines[1].strip() == "gnn/cpu: repro run gnn --config cpu"
+        assert lines[2].strip() == (
+            "alexnet/hetero-pim@f2: repro experiment summary"
+        )
+        assert collect_rows(grid=[("gnn", "cpu")])[1] == ["gnn/cpu"]
+        command = lines[1].split(": repro ", 1)[1].split()
+        assert cli.main(command) == 0
+        rows, misses = collect_rows(grid=[("gnn", "cpu")])
+        assert len(rows) == 1 and not misses
+
     def test_eval_without_model_exits_one(self, private_cache, capsys):
         rc = cli.main(["surrogate", "eval"])
         captured = capsys.readouterr()
