@@ -300,6 +300,19 @@ class Op:
         return op_type_info(self.op_type)
 
     @cached_property
+    def content(self) -> Tuple:
+        """``(op_type, *cost fields)``: everything a per-op cost formula or
+        kernel plan reads (the type's :class:`OpTypeInfo` derives from
+        ``op_type``).  Ops with equal content share compiled binaries,
+        profile samples and cost-table rows; a flat tuple of a string and
+        ints hashes without a Python call."""
+        cost = self.cost
+        return (
+            self.op_type, cost.muls, cost.adds, cost.other_flops,
+            cost.bytes_in, cost.bytes_out, cost.parallelism,
+        )
+
+    @cached_property
     def offload_class(self) -> OffloadClass:
         return self.info.offload_class
 

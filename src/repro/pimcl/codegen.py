@@ -7,11 +7,16 @@ Conv2DBackpropFilter): its MAC core is split into ``mac_chunks``
 sub-kernels (binary #3) and the surrounding complex phases become the
 programmable-PIM binary (#4) whose plan interleaves COMPLEX staging phases
 with calls to the sub-kernels — the recursive PIM kernel of Figure 6.
+
+Every plan input derives from the op's content (``op_type`` plus ``cost``,
+see :attr:`repro.nn.ops.Op.content`), so the binaries are compiled once per
+distinct content and shared, read-only, by every op that has it.
 """
 
 from __future__ import annotations
 
-from typing import List
+from types import MappingProxyType
+from typing import Dict, List, Mapping
 
 from ..errors import KernelBuildError
 from ..nn.ops import OffloadClass, Op
@@ -130,8 +135,28 @@ def _prog_plan(op: Op) -> PhasePlan:
     return PhasePlan(phases=tuple(phases))
 
 
+#: Compiled binaries by op content.  A process compiles a few thousand
+#: distinct contents at most (the whole zoo has 767); the memo is emptied
+#: when it reaches :data:`_MAX_BINARIES` entries, so a long-lived process
+#: fed ever-new graphs stays bounded.
+_BINARIES: Dict[tuple, Mapping[BinaryKind, KernelBinary]] = {}
+_MAX_BINARIES = 1 << 14
+
+
 def generate_binaries(op: Op) -> Kernel:
-    """Compile ``op`` into its applicable binaries (Figure 4)."""
+    """Compile ``op`` into its applicable binaries (Figure 4), memoized by
+    op content."""
+    key = op.content
+    binaries = _BINARIES.get(key)
+    if binaries is None:
+        if len(_BINARIES) >= _MAX_BINARIES:
+            _BINARIES.clear()
+        binaries = _BINARIES[key] = MappingProxyType(_compile(op))
+    return Kernel(op=op, binaries=binaries)
+
+
+def _compile(op: Op) -> Dict[BinaryKind, KernelBinary]:
+    """The binaries of ``op``, evaluated afresh."""
     binaries = {BinaryKind.CPU: KernelBinary(BinaryKind.CPU, _whole_plan(op))}
     cls = op.offload_class
     if cls is OffloadClass.FIXED:
@@ -156,4 +181,4 @@ def generate_binaries(op: Op) -> Kernel:
                 BinaryKind.FIXED_FULL, _chunked_mac_plan(op)
             )
     # HOST ops carry only the CPU binary.
-    return Kernel(op=op, binaries=binaries)
+    return binaries

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Mapping, Tuple
 
 from ..errors import KernelBuildError
 from ..nn.ops import OffloadClass, Op
@@ -102,10 +102,11 @@ class KernelBinary:
 
 @dataclass(frozen=True)
 class Kernel:
-    """An operation's kernel with its generated binaries."""
+    """An operation's kernel with its generated binaries (a read-only
+    mapping, shared by every op of equal content)."""
 
     op: Op
-    binaries: Dict[BinaryKind, KernelBinary]
+    binaries: Mapping[BinaryKind, KernelBinary]
 
     def binary(self, kind: BinaryKind) -> KernelBinary:
         try:

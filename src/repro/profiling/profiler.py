@@ -88,29 +88,31 @@ class WorkloadProfiler:
         self._cpu = CpuModel(self.config)
 
     def profile(self, graph: Graph) -> WorkloadProfile:
-        """Characterize ``graph`` (one step, inter-op parallelism disabled)."""
+        """Characterize ``graph`` (one step, inter-op parallelism disabled).
+
+        Timing and counters are functions of the op's content
+        (:attr:`repro.nn.ops.Op.content`), so each distinct content is
+        measured once and its sample shared by every op that has it."""
         per_op: List[OpProfile] = []
+        samples: Dict[tuple, Tuple[float, int, CounterSample]] = {}
         for op in graph.topological_order():
-            timing = self._cpu.op_timing(op)
-            counters = sample_counters(op, timing, self.config)
-            per_op.append(
-                OpProfile(
-                    op_name=op.name,
-                    op_type=op.op_type,
-                    time_s=timing.total_s,
+            sample = samples.get(op.content)
+            if sample is None:
+                timing = self._cpu.op_timing(op)
+                counters = sample_counters(op, timing, self.config)
+                sample = samples[op.content] = (
+                    timing.total_s,
                     # host traffic, floored by the counter model's clamped
                     # LLC misses: an op that touches memory contributes at
                     # least one cache line to the memory rank (for any op
                     # moving >= one line the two quantities agree, traffic
                     # being the larger)
-                    memory_bytes=max(
-                        op.host_traffic_bytes, counters.main_memory_bytes
-                    ),
-                    counters=counters,
+                    max(op.host_traffic_bytes, counters.main_memory_bytes),
+                    counters,
                 )
-            )
-        step_time = sum(p.time_s for p in per_op)
-        total_mem = sum(p.memory_bytes for p in per_op)
+            per_op.append(OpProfile(op.name, op.op_type, *sample))
+        step_time = sum([p.time_s for p in per_op])
+        total_mem = sum([p.memory_bytes for p in per_op])
         by_type = self._aggregate(per_op, step_time, total_mem)
         return WorkloadProfile(
             model_name=graph.name,

@@ -93,7 +93,7 @@ class KernelRun:
         self.rows = rows
         self.index = 0  # the next row; ``row`` is the one in progress
         self.row: tuple = ()
-        self.want = task.spec.op.cost.parallelism
+        self.want = task.op.cost.parallelism
         self.complex_on = complex_on
         self.sync = False  # the current row's launch (sync) activity runs
 

@@ -84,8 +84,9 @@ def export_trace(graph: Graph, steps: int, path: Union[str, Path]) -> int:
 def import_trace(path: Union[str, Path]) -> List[TaskSpec]:
     """Load a trace written by :func:`export_trace`.
 
-    Kernels are recompiled from the embedded op descriptors, so an imported
-    trace is directly usable for analysis and scheduling studies.
+    Ops are rebuilt from the embedded op descriptors, so an imported trace
+    is directly usable for analysis and scheduling studies (compile an
+    op's binaries with :func:`repro.pimcl.generate_binaries`).
     """
     payload = json.loads(Path(path).read_text())
     version = payload.get("format_version")
@@ -94,25 +95,16 @@ def import_trace(path: Union[str, Path]) -> List[TaskSpec]:
             f"unsupported trace format version {version!r} "
             f"(expected {TRACE_FORMAT_VERSION})"
         )
-    from ..pimcl.codegen import generate_binaries
-
-    kernels = {}
-    tasks: List[TaskSpec] = []
-    for record in payload["tasks"]:
-        op = _op_from_dict(record["op"])
-        if op.name not in kernels:
-            kernels[op.name] = generate_binaries(op)
-        tasks.append(
-            TaskSpec(
-                uid=record["uid"],
-                step=record["step"],
-                op=op,
-                kernel=kernels[op.name],
-                deps=frozenset(record["deps"]),
-                topo_index=record["topo_index"],
-            )
+    return [
+        TaskSpec(
+            uid=record["uid"],
+            step=record["step"],
+            op=_op_from_dict(record["op"]),
+            deps=frozenset(record["deps"]),
+            topo_index=record["topo_index"],
         )
-    return tasks
+        for record in payload["tasks"]
+    ]
 
 
 def trace_summary(path: Union[str, Path]) -> Dict[str, Union[str, int]]:

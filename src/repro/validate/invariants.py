@@ -279,9 +279,10 @@ def _dependence_order(sim) -> Iterator[InvariantViolation]:
                 entry.uid,
                 f"started at {entry.start_s!r} before ready at {entry.ready_s!r}",
             )
-    for task in sim._tasks.values():
-        for dependent in task.dependents:
-            dep_uid = dependent.uid
+    tasks = sim._tasks
+    for task in tasks:
+        for j in task.dependents:
+            dep_uid = tasks[j].uid
             dep_start = start_by_uid.get(dep_uid)
             task_end = end_by_uid.get(task.uid)
             if dep_start is None or task_end is None:
@@ -321,7 +322,7 @@ def _device_quiescence(sim) -> Iterator[InvariantViolation]:
             "engine",
             f"{sim.engine.pending_events} event(s) still pending",
         )
-    undone = [t.uid for t in sim._tasks.values() if not t.done]
+    undone = [t.uid for t in sim._tasks if not t.done]
     if undone:
         yield InvariantViolation(
             "device-quiescence",

@@ -47,7 +47,7 @@ class TestCostTableKeying:
         fast = cost_table(graph, policy, config)
         assert slow is not fast
         op = graph.ops[0]
-        assert slow.est["fixed"][id(op)] != fast.est["fixed"][id(op)]
+        assert slow.estimate("fixed", op, 1.0) != fast.estimate("fixed", op, 1.0)
 
     def test_prog_pim_count_gets_its_own_table(self):
         graph, policy, config = _prepared()

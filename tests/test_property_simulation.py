@@ -107,8 +107,6 @@ def test_timeline_consistent_with_dependences(graph):
     sim.run()
     ends = {e.uid: e.end_s for e in sim.timeline.entries}
     starts = {e.uid: e.start_s for e in sim.timeline.entries}
-    for task in sim._tasks.values():
-        if task.spec is None:
-            continue
-        for dep in task.spec.deps:
-            assert ends[dep] <= starts[task.uid] + 1e-9
+    for task in sim._tasks:
+        for j in task.dependents:
+            assert ends[task.uid] <= starts[sim._tasks[j].uid] + 1e-9

@@ -86,12 +86,12 @@ class TestRecordedSimulation:
     def test_dependences_respected_in_schedule(self, sim):
         ends = {e.uid: e.end_s for e in sim.timeline.entries}
         starts = {e.uid: e.start_s for e in sim.timeline.entries}
-        for task in sim._tasks.values():
-            if task.spec is None:
-                continue
-            for dep in task.spec.deps:
-                assert ends[dep] <= starts[task.uid] + 1e-9, (
-                    f"{task.uid} started before its dependence {dep} finished"
+        for task in sim._tasks:
+            for j in task.dependents:
+                dependent = sim._tasks[j]
+                assert ends[task.uid] <= starts[dependent.uid] + 1e-9, (
+                    f"{dependent.uid} started before its dependence "
+                    f"{task.uid} finished"
                 )
 
     def test_cpu_capacity_respected(self, sim):

@@ -45,15 +45,6 @@ class TestRoundTrip:
             assert got.op.cost == orig.op.cost
             assert got.topo_index == orig.topo_index
 
-    def test_imported_kernels_are_shared_per_op(self, dcgan, tmp_path):
-        path = tmp_path / "trace.json"
-        export_trace(dcgan, steps=2, path=path)
-        loaded = import_trace(path)
-        by_name = {}
-        for t in loaded:
-            by_name.setdefault(t.op.name, t.kernel)
-            assert t.kernel is by_name[t.op.name]
-
     def test_attrs_preserved(self, dcgan, tmp_path):
         path = tmp_path / "trace.json"
         export_trace(dcgan, steps=1, path=path)

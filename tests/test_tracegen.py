@@ -9,6 +9,7 @@ from repro.sim.tracegen import (
     generate_trace,
     task_uid,
     trace_stats,
+    trace_template,
 )
 
 
@@ -60,13 +61,44 @@ class TestTraceGeneration:
         assert stats["cross_step_edges"] > 0
 
 
+class TestTraceTemplate:
+    def test_one_template_per_graph_and_steps(self, alexnet):
+        template = trace_template(alexnet, 2)
+        assert trace_template(alexnet, 2) is template
+        assert trace_template(alexnet, 3) is not template
+
+    def test_dependents_invert_dependences(self, alexnet):
+        template = trace_template(alexnet, 3)
+        inverted = [[] for _ in template.deps]
+        for i, before in enumerate(template.deps):
+            for j in before:
+                assert j < i  # a dependence names an earlier position
+                inverted[j].append(i)
+        assert [list(d) for d in template.dependents] == inverted
+        assert list(template.indeg) == [len(d) for d in template.deps]
+
+    def test_positions_match_the_generated_trace(self, alexnet):
+        template = trace_template(alexnet, 2)
+        specs = generate_trace(alexnet, steps=2)
+        assert [t.uid for t in specs] == list(template.uids)
+        for spec, before in zip(specs, template.deps):
+            assert spec.deps == {template.uids[j] for j in before}
+        n = alexnet.num_ops
+        assert [t.sort_key for t in specs] == [
+            key[1:] for key in template.sort_keys(0)
+        ]
+        assert template.keys[n] == ("alexnet", 1)
+
+
 class TestKernelCompilation:
     def test_every_op_gets_a_kernel(self, alexnet):
         kernels = compile_kernels(alexnet)
         assert set(kernels) == {op.name for op in alexnet.ops}
 
-    def test_trace_reuses_supplied_kernels(self, alexnet):
+    def test_equal_content_shares_binaries(self, alexnet):
         kernels = compile_kernels(alexnet)
-        tasks = generate_trace(alexnet, steps=2, kernels=kernels)
-        for t in tasks:
-            assert t.kernel is kernels[t.op.name]
+        by_content = {}
+        for op in alexnet.ops:
+            by_content.setdefault(op.content, kernels[op.name].binaries)
+            assert kernels[op.name].binaries is by_content[op.content]
+        assert len(by_content) < alexnet.num_ops

@@ -285,7 +285,7 @@ class TestSimulationInvariantsFire:
 
     def test_device_quiescence_fires_on_unfinished_task(self):
         sim, result = _run_live()
-        next(iter(sim._tasks.values())).done = False
+        sim._tasks[0].done = False
         fired = {v.invariant for v in iter_simulation_violations(sim, result)}
         assert "device-quiescence" in fired
 
