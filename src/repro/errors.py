@@ -164,11 +164,6 @@ class Interrupted(ExecutionError):
         self.run_id = run_id
 
 
-class CacheInconsistency(ExecutionError):
-    """Raised when the result cache contradicts itself mid-batch — e.g. a
-    job the runner just completed and stored cannot be read back."""
-
-
 class CorruptObjectError(ReproError):
     """Raised when a stored artifact fails its integrity check.
 

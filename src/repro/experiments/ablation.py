@@ -15,7 +15,7 @@ from ..baselines import make_hetero_pim
 from ..config import default_config
 from ..sim.results import RunResult
 from . import runner
-from .common import cached_graph
+from .common import cached_graph, run_points
 
 #: (label, recursive_kernels, operation_pipeline), presentation order.
 VARIANTS: Tuple[Tuple[str, bool, bool], ...] = (
@@ -41,8 +41,10 @@ def _variant_job(model: str, label: str) -> runner.Job:
     return (cached_graph(model), policy, config, None)
 
 
-def run_variant(model: str, label: str, exact: bool = False) -> RunResult:
-    """Simulate ``model`` under one RC/OP variant of Hetero PIM (cached).
+def run_all_variants(
+    models: Tuple[str, ...], exact: bool = False
+) -> Dict[str, Dict[str, RunResult]]:
+    """Every (model, RC/OP variant) run of Hetero PIM.
 
     In surrogate mode (:func:`repro.experiments.common.set_surrogate`)
     the aggregate step-time/energy targets come from the cost surrogate —
@@ -50,30 +52,15 @@ def run_variant(model: str, label: str, exact: bool = False) -> RunResult:
     when the caller needs event-level fields estimates cannot carry
     (Figure 15 reads pool utilization).
     """
-    from .common import run_job
-
-    return run_job(*_variant_job(model, label), exact=exact)
-
-
-def run_all_variants(
-    models: Tuple[str, ...], exact: bool = False
-) -> Dict[str, Dict[str, RunResult]]:
-    from .common import surrogate_enabled
-
-    if exact or not surrogate_enabled():
-        # fan the (model x variant) grid over the worker pool; the
-        # per-variant lookups below then hit the warm cache
-        runner.run_jobs(
-            [
-                _variant_job(m, label)
-                for m in models
-                for label, _rc, _op in VARIANTS
-            ]
-        )
-    return {
-        model: {
-            label: run_variant(model, label, exact=exact)
+    runs = run_points(
+        {
+            (m, label): _variant_job(m, label)
+            for m in models
             for label, _rc, _op in VARIANTS
-        }
+        },
+        exact=exact,
+    )
+    return {
+        model: {label: runs[model, label] for label, _rc, _op in VARIANTS}
         for model in models
     }

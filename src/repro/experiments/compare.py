@@ -28,9 +28,14 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..errors import ReproError
-from .common import EVAL_MODELS, run_job, write_atomic
+from .common import (
+    EVAL_MODELS,
+    cached_graph,
+    resolve_configuration,
+    run_points,
+    write_atomic,
+)
 from .report import TextTable, format_seconds
-from .runner import run_jobs
 
 #: Backends compared, reference architecture first (the normalizer).
 COMPARE_BACKENDS = ("hmc-hetero", "gradpim", "neurotrainer")
@@ -75,7 +80,6 @@ def run(
 ) -> Dict[str, Dict[str, CompareCell]]:
     """The comparison grid: ``result[backend][model]``."""
     from ..nn.models import MODERN_MODELS
-    from .common import cached_graph, resolve_configuration
 
     if models is None:
         models = SMALL_MODELS if _SMALL else EVAL_MODELS + MODERN_MODELS
@@ -87,32 +91,19 @@ def run(
             f"{COMPARE_BACKENDS[0]!r}; got {backends}"
         )
 
-    from .common import surrogate_enabled
-
-    resolved = {
-        backend: resolve_configuration(None, backend=backend)
-        for backend in backends
-    }
-    if not surrogate_enabled():
-        # warm the cache in one supervised fan-out (journaled, resumable)
-        run_jobs(
-            [
-                (cached_graph(model), policy, config, steps)
-                for backend, (config, policy) in resolved.items()
-                for model in models
-            ]
-        )
+    points = {}
+    for backend in backends:
+        config, policy = resolve_configuration(None, backend=backend)
+        for model in models:
+            points[backend, model] = (cached_graph(model), policy, config, steps)
+    runs = run_points(points)
 
     out: Dict[str, Dict[str, CompareCell]] = {}
-    reference: Dict[str, object] = {}
     for backend in backends:
-        config, policy = resolved[backend]
         row: Dict[str, CompareCell] = {}
         for model in models:
-            result = run_job(cached_graph(model), policy, config, steps)
-            if backend == COMPARE_BACKENDS[0]:
-                reference[model] = result
-            ref = reference[model]
+            result = runs[backend, model]
+            ref = runs[COMPARE_BACKENDS[0], model]
             row[model] = CompareCell(
                 backend=backend,
                 model=model,

@@ -23,7 +23,6 @@ from typing import Dict, Sequence, Tuple
 from ..baselines import make_hetero_pim
 from ..config import default_config
 from ..nn.inference import backward_share, derive_inference_graph
-from ..sim.cache import simulate_cached
 from ..sim.results import RunResult
 from . import runner
 from .common import cached_graph
@@ -107,19 +106,11 @@ def _rc_jobs(graph) -> Tuple[runner.Job, runner.Job]:
     return (graph, pol_on, cfg_on, None), (graph, pol_off, cfg_off, None)
 
 
-def _rc_gain(graph) -> Tuple[float, float]:
-    """(step time with RC+OP, RC+OP gain over bare hardware)."""
-    job_on, job_off = _rc_jobs(graph)
-    on = simulate_cached(*job_on)
-    off = simulate_cached(*job_off)
-    return on.step_time_s, off.step_time_s / on.step_time_s
-
-
 def run_inference_contrast(
     models: Tuple[str, ...] = ("vgg-19", "alexnet", "dcgan"),
 ) -> Dict[str, InferenceContrast]:
     infer_graphs = {m: derive_inference_graph(cached_graph(m)) for m in models}
-    runner.run_jobs(
+    results = runner.run_jobs(
         [
             job
             for m in models
@@ -127,15 +118,20 @@ def run_inference_contrast(
             for job in _rc_jobs(g)
         ]
     )
+
+    def rc_gain(g: int) -> Tuple[float, float]:
+        """(step time with RC+OP, RC+OP gain over bare hardware) of the
+        ``g``-th graph."""
+        on, off = results[2 * g], results[2 * g + 1]
+        return on.step_time_s, off.step_time_s / on.step_time_s
+
     out: Dict[str, InferenceContrast] = {}
-    for model in models:
-        train_graph = cached_graph(model)
-        infer_graph = infer_graphs[model]
-        train_s, train_gain = _rc_gain(train_graph)
-        infer_s, infer_gain = _rc_gain(infer_graph)
+    for i, model in enumerate(models):
+        train_s, train_gain = rc_gain(2 * i)
+        infer_s, infer_gain = rc_gain(2 * i + 1)
         out[model] = InferenceContrast(
             model=model,
-            backward_flop_share=backward_share(train_graph),
+            backward_flop_share=backward_share(cached_graph(model)),
             train_step_s=train_s,
             infer_step_s=infer_s,
             train_rc_gain=train_gain,

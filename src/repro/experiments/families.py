@@ -25,7 +25,7 @@ from ..profiling import (
 )
 from ..runtime.selection import select_candidates
 from . import faults as faults_experiment
-from .common import cached_graph, resolve_configuration, run_job
+from .common import cached_graph, resolve_configuration, run_points
 from .compare import COMPARE_BACKENDS
 from .report import TextTable, format_seconds
 
@@ -73,6 +73,12 @@ def run(
     models: Tuple[str, ...] = FAMILY_MODELS,
     backends: Tuple[str, ...] = COMPARE_BACKENDS,
 ) -> Dict[str, FamilyReport]:
+    points = {}
+    for model in models:
+        for backend in backends:
+            config, policy = resolve_configuration(None, backend=backend)
+            points[model, backend] = (cached_graph(model), policy, config, STEPS)
+    runs = run_points(points)
     profiler = WorkloadProfiler()
     out: Dict[str, FamilyReport] = {}
     for model in models:
@@ -95,15 +101,14 @@ def run(
             label = info.offload_class.value if info else "unknown"
             class_shares[label] = class_shares.get(label, 0.0) + t.time_share
 
-        cells: Dict[str, BackendCell] = {}
-        for backend in backends:
-            config, policy = resolve_configuration(None, backend=backend)
-            result = run_job(graph, policy, config, STEPS)
-            cells[backend] = BackendCell(
+        cells = {
+            backend: BackendCell(
                 backend=backend,
-                step_time_s=result.step_time_s,
-                dynamic_energy_j=result.step_dynamic_energy_j,
+                step_time_s=runs[model, backend].step_time_s,
+                dynamic_energy_j=runs[model, backend].step_dynamic_energy_j,
             )
+            for backend in backends
+        }
 
         sweep = faults_experiment.run(
             model=model, event_counts=FAULT_EVENT_COUNTS, steps=STEPS

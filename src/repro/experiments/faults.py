@@ -62,6 +62,7 @@ def run(
     seed: int = DEFAULT_SEED,
     steps: int = 2,
 ) -> Dict[int, FaultCell]:
+    # two stages: the fault specs are drawn over the clean run's makespan
     baseline = run_model_on(model, config, steps=steps)
     system, policy = resolve_configuration(config)
     graph = cached_graph(model)

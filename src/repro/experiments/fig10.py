@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .common import EVAL_MODELS, run_model_on
+from .common import EVAL_MODELS, model_job, run_points
 from .report import TextTable
 
 
@@ -34,10 +34,17 @@ class Fig10Row:
 
 
 def run(models: Tuple[str, ...] = EVAL_MODELS) -> Dict[str, Fig10Row]:
+    runs = run_points(
+        {
+            (m, c): model_job(m, c)
+            for m in models
+            for c in ("hetero-pim", "neurocube")
+        }
+    )
     out: Dict[str, Fig10Row] = {}
     for model in models:
-        hetero = run_model_on(model, "hetero-pim")
-        neurocube = run_model_on(model, "neurocube")
+        hetero = runs[model, "hetero-pim"]
+        neurocube = runs[model, "neurocube"]
         out[model] = Fig10Row(
             model=model,
             hetero_step_s=hetero.step_time_s,

@@ -14,9 +14,8 @@ from typing import Dict, Tuple
 
 from ..config import FREQUENCY_SCALES, default_config
 from ..sim.activity import TimeBreakdown
-from .common import EVAL_MODELS, run_model_on
+from .common import EVAL_MODELS, model_job, run_points
 from .report import TextTable, format_seconds
-from .runner import prefetch_model_runs
 
 
 @dataclass(frozen=True)
@@ -32,16 +31,19 @@ def run(
     scales: Tuple[float, ...] = FREQUENCY_SCALES,
 ) -> Dict[str, Dict[float, Fig11Cell]]:
     bases = {s: default_config().with_frequency_scale(s) for s in scales}
-    prefetch_model_runs(
-        [(m, "gpu") for m in models]
-        + [(m, "hetero-pim", bases[s]) for m in models for s in scales]
+    points = {(m, "gpu"): model_job(m, "gpu") for m in models}
+    points.update(
+        ((m, s), model_job(m, "hetero-pim", bases[s]))
+        for m in models
+        for s in scales
     )
+    runs = run_points(points)
     out: Dict[str, Dict[float, Fig11Cell]] = {}
     for model in models:
-        gpu = run_model_on(model, "gpu")
+        gpu = runs[model, "gpu"]
         row: Dict[float, Fig11Cell] = {}
         for scale in scales:
-            result = run_model_on(model, "hetero-pim", base=bases[scale])
+            result = runs[model, scale]
             row[scale] = Fig11Cell(
                 scale=scale,
                 step_time_s=result.step_time_s,

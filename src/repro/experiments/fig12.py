@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from ..config import PROG_PIM_COUNTS, default_config
-from .common import EVAL_MODELS, run_model_on
+from .common import EVAL_MODELS, model_job, run_points
 from .report import TextTable, format_seconds
-from .runner import prefetch_model_runs
 
 
 @dataclass(frozen=True)
@@ -30,22 +29,21 @@ def run(
     counts: Tuple[int, ...] = PROG_PIM_COUNTS,
 ) -> Dict[str, Dict[int, Fig12Cell]]:
     bases = {n: default_config().with_prog_pims(n) for n in counts}
-    prefetch_model_runs(
-        [(m, "hetero-pim", bases[n]) for m in models for n in counts]
+    runs = run_points(
+        {
+            (m, n): model_job(m, "hetero-pim", bases[n])
+            for m in models
+            for n in counts
+        }
     )
     out: Dict[str, Dict[int, Fig12Cell]] = {}
     for model in models:
-        times: Dict[int, float] = {}
-        units: Dict[int, int] = {}
-        for n in counts:
-            units[n] = bases[n].fixed_pim.n_units
-            result = run_model_on(model, "hetero-pim", base=bases[n])
-            times[n] = result.step_time_s
+        times = {n: runs[model, n].step_time_s for n in counts}
         ref = times[counts[0]]
         out[model] = {
             n: Fig12Cell(
                 n_prog_pims=n,
-                n_fixed_units=units[n],
+                n_fixed_units=bases[n].fixed_pim.n_units,
                 step_time_s=times[n],
                 relative_to_1p=times[n] / ref,
             )

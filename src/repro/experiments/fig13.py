@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from .ablation import VARIANTS, run_all_variants
-from .common import EVAL_MODELS, run_model_on
+from .common import EVAL_MODELS, model_job, run_points
 from .report import TextTable, format_seconds
-from .runner import prefetch_model_runs
 
 
 @dataclass(frozen=True)
@@ -39,8 +38,12 @@ class Fig13Model:
 
 
 def run(models: Tuple[str, ...] = EVAL_MODELS) -> Dict[str, Fig13Model]:
-    prefetch_model_runs(
-        [(m, c) for m in models for c in ("fixed-pim", "prog-pim")]
+    baselines = run_points(
+        {
+            (m, c): model_job(m, c)
+            for m in models
+            for c in ("fixed-pim", "prog-pim")
+        }
     )
     variants = run_all_variants(models)
     out: Dict[str, Fig13Model] = {}
@@ -49,8 +52,8 @@ def run(models: Tuple[str, ...] = EVAL_MODELS) -> Dict[str, Fig13Model]:
             label: variants[model][label].step_time_s
             for label, _rc, _op in VARIANTS
         }
-        times["Fixed PIM"] = run_model_on(model, "fixed-pim").step_time_s
-        times["Progr PIM"] = run_model_on(model, "prog-pim").step_time_s
+        times["Fixed PIM"] = baselines[model, "fixed-pim"].step_time_s
+        times["Progr PIM"] = baselines[model, "prog-pim"].step_time_s
         out[model] = Fig13Model(model=model, step_times=times)
     return out
 

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from .ablation import VARIANTS, run_all_variants
-from .common import EVAL_MODELS, run_model_on
+from .common import EVAL_MODELS, model_job, run_points
 from .report import TextTable
-from .runner import prefetch_model_runs
 
 
 @dataclass(frozen=True)
@@ -37,8 +36,12 @@ class Fig14Model:
 
 
 def run(models: Tuple[str, ...] = EVAL_MODELS) -> Dict[str, Fig14Model]:
-    prefetch_model_runs(
-        [(m, c) for m in models for c in ("fixed-pim", "prog-pim")]
+    baselines = run_points(
+        {
+            (m, c): model_job(m, c)
+            for m in models
+            for c in ("fixed-pim", "prog-pim")
+        }
     )
     variants = run_all_variants(models)
     out: Dict[str, Fig14Model] = {}
@@ -47,12 +50,8 @@ def run(models: Tuple[str, ...] = EVAL_MODELS) -> Dict[str, Fig14Model]:
             label: variants[model][label].step_dynamic_energy_j
             for label, _rc, _op in VARIANTS
         }
-        energies["Fixed PIM"] = run_model_on(
-            model, "fixed-pim"
-        ).step_dynamic_energy_j
-        energies["Progr PIM"] = run_model_on(
-            model, "prog-pim"
-        ).step_dynamic_energy_j
+        energies["Fixed PIM"] = baselines[model, "fixed-pim"].step_dynamic_energy_j
+        energies["Progr PIM"] = baselines[model, "prog-pim"].step_dynamic_energy_j
         out[model] = Fig14Model(model=model, energies_j=energies)
     return out
 

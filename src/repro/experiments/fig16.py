@@ -23,7 +23,7 @@ from ..config import default_config
 from ..nn.graph import Graph, merge_graphs
 from ..runtime.scheduler import MixedWorkloadPolicy
 from . import runner
-from .common import cached_graph, run_job, run_model_on, surrogate_enabled
+from .common import cached_graph, model_job, run_points
 from .report import TextTable, format_seconds
 
 #: The six co-run cases.
@@ -74,10 +74,6 @@ def _solo_restricted_job(non_cnn: str) -> runner.Job:
     return (graph, policy, default_config(), None)
 
 
-def _solo_restricted_s(non_cnn: str) -> float:
-    return run_job(*_solo_restricted_job(non_cnn)).step_time_s
-
-
 #: Fraction of the idle-capacity rate the runtime grants the tenant; the
 #: margin avoids head-of-line blocking of the primary model's CPU/prog work.
 TENANT_LOAD_FACTOR = 0.8
@@ -90,51 +86,45 @@ def _corun_job(cnn: str, non_cnn: str, k: int) -> runner.Job:
     return (merged, MixedWorkloadPolicy(restricted), default_config(), None)
 
 
-def run_case(cnn: str, non_cnn: str) -> Fig16Case:
-    """Simulate one co-run case."""
-    solo_cnn = run_model_on(cnn, "hetero-pim").step_time_s
-    solo_non = _solo_restricted_s(non_cnn)
-    k = max(1, round(TENANT_LOAD_FACTOR * solo_cnn / solo_non))
+def run(pairs: Tuple[Tuple[str, str], ...] = PAIRS) -> Dict[str, Fig16Case]:
+    # Two stages: the tenant replica count k of each co-run case depends
+    # on the solo step times, so the solos run first, then the merged
+    # co-run simulations (the dominant cost) sized from them.
+    cnns = tuple(dict.fromkeys(cnn for cnn, _ in pairs))
+    nons = tuple(dict.fromkeys(non for _, non in pairs))
+    solos = run_points(
+        {("cnn", cnn): model_job(cnn, "hetero-pim") for cnn in cnns}
+        | {("non", non): _solo_restricted_job(non) for non in nons}
+    )
+    solo_cnn = {cnn: solos["cnn", cnn].step_time_s for cnn in cnns}
+    solo_non = {non: solos["non", non].step_time_s for non in nons}
+    ks = {
+        (cnn, non): max(
+            1, round(TENANT_LOAD_FACTOR * solo_cnn[cnn] / solo_non[non])
+        )
+        for cnn, non in pairs
+    }
     # the reported co-run number is the merged schedule's aggregate step
     # time, so the surrogate can answer it (the co-run jobs are part of
     # its training grid)
-    corun = run_job(*_corun_job(cnn, non_cnn, k))
-    sequential = solo_cnn + k * solo_non
-    return Fig16Case(
-        cnn=cnn,
-        non_cnn=non_cnn,
-        non_cnn_steps_per_cnn_step=k,
-        solo_cnn_s=solo_cnn,
-        solo_non_cnn_s=solo_non,
-        corun_s=corun.step_time_s,
-        sequential_s=sequential,
-    )
-
-
-def run(pairs: Tuple[Tuple[str, str], ...] = PAIRS) -> Dict[str, Fig16Case]:
-    # Two-phase fan-out: the tenant replica count k of each co-run case
-    # depends on the solo step times, so the solos run (in parallel) first,
-    # then the merged co-run simulations — the dominant cost — fan out.
-    cnns = tuple(dict.fromkeys(cnn for cnn, _ in pairs))
-    nons = tuple(dict.fromkeys(non for _, non in pairs))
-    runner.prefetch_model_runs([(cnn, "hetero-pim") for cnn in cnns])
-    if not surrogate_enabled():
-        runner.run_jobs([_solo_restricted_job(non) for non in nons])
-        ks = {
-            (cnn, non): max(
-                1,
-                round(
-                    TENANT_LOAD_FACTOR
-                    * run_model_on(cnn, "hetero-pim").step_time_s
-                    / _solo_restricted_s(non)
-                ),
-            )
-            for cnn, non in pairs
-        }
-        runner.run_jobs(
-            [_corun_job(cnn, non, ks[cnn, non]) for cnn, non in pairs]
+    coruns = run_points({pair: _corun_job(*pair, ks[pair]) for pair in pairs})
+    return {
+        f"{cnn}+{non}": Fig16Case(
+            cnn=cnn,
+            non_cnn=non,
+            non_cnn_steps_per_cnn_step=ks[cnn, non],
+            solo_cnn_s=solo_cnn[cnn],
+            solo_non_cnn_s=solo_non[non],
+            corun_s=coruns[cnn, non].step_time_s,
+            sequential_s=solo_cnn[cnn] + ks[cnn, non] * solo_non[non],
         )
-    return {f"{cnn}+{non}": run_case(cnn, non) for cnn, non in pairs}
+        for cnn, non in pairs
+    }
+
+
+def run_case(cnn: str, non_cnn: str) -> Fig16Case:
+    """Simulate one co-run case."""
+    return run(((cnn, non_cnn),))[f"{cnn}+{non_cnn}"]
 
 
 def format_result(result: Dict[str, Fig16Case]) -> str:

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from ..config import FREQUENCY_SCALES, default_config
-from .common import EVAL_MODELS, run_model_on
+from .common import EVAL_MODELS, model_job, run_points
 from .report import TextTable
-from .runner import prefetch_model_runs
 
 
 @dataclass(frozen=True)
@@ -45,16 +44,19 @@ def run(
     scales: Tuple[float, ...] = FREQUENCY_SCALES,
 ) -> Dict[str, Fig17Model]:
     bases = {s: default_config().with_frequency_scale(s) for s in scales}
-    prefetch_model_runs(
-        [(m, "gpu") for m in models]
-        + [(m, "hetero-pim", bases[s]) for m in models for s in scales]
+    points = {(m, "gpu"): model_job(m, "gpu") for m in models}
+    points.update(
+        ((m, s), model_job(m, "hetero-pim", bases[s]))
+        for m in models
+        for s in scales
     )
+    runs = run_points(points)
     out: Dict[str, Fig17Model] = {}
     for model in models:
-        gpu = run_model_on(model, "gpu")
+        gpu = runs[model, "gpu"]
         cells: Dict[float, Fig17Cell] = {}
         for scale in scales:
-            result = run_model_on(model, "hetero-pim", base=bases[scale])
+            result = runs[model, scale]
             cells[scale] = Fig17Cell(
                 scale=scale,
                 edp=result.edp(),

@@ -16,9 +16,8 @@ from typing import Dict, Tuple
 
 from ..sim.activity import TimeBreakdown
 from ..sim.results import RunResult
-from .common import EVAL_CONFIGS, EVAL_MODELS, run_model_on
+from .common import EVAL_CONFIGS, EVAL_MODELS, model_job, run_points
 from .report import TextTable, format_seconds, stacked_bar
-from .runner import prefetch_model_runs
 
 
 @dataclass(frozen=True)
@@ -33,20 +32,21 @@ def run(
     models: Tuple[str, ...] = EVAL_MODELS,
     configs: Tuple[str, ...] = EVAL_CONFIGS,
 ) -> Dict[str, Dict[str, Fig8Cell]]:
-    prefetch_model_runs([(m, c) for m in models for c in configs])
-    out: Dict[str, Dict[str, Fig8Cell]] = {}
-    for model in models:
-        row: Dict[str, Fig8Cell] = {}
-        for config in configs:
-            result = run_model_on(model, config)
-            row[config] = Fig8Cell(
+    runs = run_points(
+        {(m, c): model_job(m, c) for m in models for c in configs}
+    )
+    return {
+        model: {
+            config: Fig8Cell(
                 config=config,
-                step_time_s=result.step_time_s,
-                breakdown=result.step_breakdown,
-                result=result,
+                step_time_s=runs[model, config].step_time_s,
+                breakdown=runs[model, config].step_breakdown,
+                result=runs[model, config],
             )
-        out[model] = row
-    return out
+            for config in configs
+        }
+        for model in models
+    }
 
 
 def speedups(result: Dict[str, Dict[str, Fig8Cell]]) -> Dict[str, Dict[str, float]]:

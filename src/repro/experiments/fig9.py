@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .common import EVAL_CONFIGS, EVAL_MODELS, run_model_on
+from .common import EVAL_CONFIGS, EVAL_MODELS, model_job, run_points
 from .report import TextTable
-from .runner import prefetch_model_runs
 
 
 @dataclass(frozen=True)
@@ -27,11 +26,13 @@ def run(
     models: Tuple[str, ...] = EVAL_MODELS,
     configs: Tuple[str, ...] = EVAL_CONFIGS,
 ) -> Dict[str, Dict[str, Fig9Cell]]:
-    prefetch_model_runs([(m, c) for m in models for c in configs])
+    runs = run_points(
+        {(m, c): model_job(m, c) for m in models for c in configs}
+    )
     out: Dict[str, Dict[str, Fig9Cell]] = {}
     for model in models:
         energies = {
-            config: run_model_on(model, config).step_dynamic_energy_j
+            config: runs[model, config].step_dynamic_energy_j
             for config in configs
         }
         hetero = energies["hetero-pim"]

@@ -1,12 +1,12 @@
 """Crash-safe parallel experiment runner: a supervised process pool.
 
 The evaluation is dozens of mutually independent (graph, policy, config)
-simulations.  This module runs batches of them on worker processes and
-lands every result in the content-addressed cache (:mod:`repro.sim.cache`),
-so the experiment modules themselves stay strictly sequential and
-deterministic: they *prefetch* their runs through this module, then execute
-their unchanged per-model loops against a warm cache.  Rendered artifacts
-are therefore byte-identical whatever the worker count.
+simulations.  :func:`run_jobs` takes one batch of them, answers the cached
+ones from the content-addressed cache (:mod:`repro.sim.cache`), runs the
+rest on worker processes, stores them, and returns every result in job
+order.  An experiment lists each stage's points once, renders from the
+returned list, and never depends on which process computed a point, so
+rendered artifacts are byte-identical whatever the worker count.
 
 Unlike a bare ``pool.map``, the batch is **supervised** — one bad job
 cannot take the evaluation down with it:
@@ -59,12 +59,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..chaos import injector as _chaos
 from ..config import SystemConfig
-from ..errors import (
-    CacheInconsistency,
-    Interrupted,
-    JobTimeout,
-    PoisonJob,
-)
+from ..errors import Interrupted, JobTimeout, PoisonJob
 from ..nn.graph import Graph
 from ..obs.report import BatchSupervision
 from ..sim import cache as sim_cache
@@ -571,13 +566,17 @@ def _job_meta(job: Job, result: RunResult) -> Dict:
 def run_jobs(jobs: Sequence[Job]) -> List[RunResult]:
     """Run every job under supervision; parallel when ``get_jobs() > 1``.
 
-    Results come back in job order and are identical to serial execution:
-    each simulation is single-process deterministic, and the pool adds no
-    shared state beyond the result cache.  Raises
-    :class:`~repro.errors.PoisonJob` if any job was quarantined (after
-    the rest of the batch completed), :class:`~repro.errors.Interrupted`
-    on SIGINT/SIGTERM, and :class:`~repro.errors.CacheInconsistency` if a
-    stored result cannot be read back.
+    Each job is fingerprinted once and each distinct fingerprint looked
+    up once; the first job of each uncached fingerprint runs, and the
+    parent stores its result.  The returned list, in job order, holds the
+    results those steps produced — nothing is read back.  It is identical
+    to serial execution: each simulation is single-process deterministic,
+    and the pool adds no shared state beyond the result cache.  Under
+    ``REPRO_VALIDATE`` each cache hit gets the result-level invariant
+    checks (a fresh run gets the full checks as it runs).  Raises
+    :class:`~repro.errors.PoisonJob` if any job was quarantined (after the
+    rest of the batch completed) and :class:`~repro.errors.Interrupted` on
+    SIGINT/SIGTERM.
     """
     global _last_supervision
     jobs = [_normalize(job) for job in jobs]
@@ -586,31 +585,43 @@ def run_jobs(jobs: Sequence[Job]) -> List[RunResult]:
         sim_cache.run_fingerprint(g, p, c, s, faults=f)
         for g, p, c, s, f in jobs
     ]
-    cached_prints = {
-        fp for fp in prints if sim_cache.get(fp) is not None
-    }
-    if journal is not None and cached_prints:
+    found: Dict[str, Optional[RunResult]] = {}
+    pending: List[int] = []  # the first job of each uncached fingerprint
+    for i, fp in enumerate(prints):
+        if fp not in found:
+            found[fp] = sim_cache.get(fp)
+            if found[fp] is None:
+                pending.append(i)
+    hits = {fp: result for fp, result in found.items() if result is not None}
+    if hits and sim_cache.validation_enabled():
+        from ..validate.invariants import check_result
+
+        for result in hits.values():
+            check_result(result)
+    if journal is not None and hits:
         already = journal.completed_fingerprints()
-        for fp in sorted(cached_prints - already):
+        for fp in sorted(hits.keys() - already):
             journal.record_job(fp, "done", cached=True)
-    pending = [i for i, fp in enumerate(prints) if fp not in cached_prints]
     n_workers = min(get_jobs(), max(1, len(pending)))
 
+    def store(k: int, result: RunResult) -> None:
+        i = pending[k]
+        sim_cache.put(prints[i], result, meta=_job_meta(jobs[i], result))
+        found[prints[i]] = result
+
+    tasks = [jobs[i] for i in pending]
+    keys = [prints[i] for i in pending]
     failures: List[JobFailure] = []
     if pending and n_workers <= 1:
-        supervision = _run_serial(jobs, prints, pending, journal)
+        supervision = _run_serial(tasks, keys, journal, store)
     elif pending:
         outcome = supervise(
             _worker,
-            [jobs[i] for i in pending],
-            keys=[prints[i] for i in pending],
+            tasks,
+            keys=keys,
             n_workers=n_workers,
             journal=journal,
-            on_result=lambda k, result: sim_cache.put(
-                prints[pending[k]],
-                result,
-                meta=_job_meta(jobs[pending[k]], result),
-            ),
+            on_result=store,
         )
         failures = outcome.failures
         supervision = outcome.supervision
@@ -637,38 +648,27 @@ def run_jobs(jobs: Sequence[Job]) -> List[RunResult]:
             f"completed without them: {lines}",
             failures=failures,
         )
-    results = [sim_cache.get(fp) for fp in prints]
-    missing = [
-        fp for fp, result in zip(prints, results) if result is None
-    ]
-    if missing:
-        raise CacheInconsistency(
-            f"{len(missing)} completed results vanished from the cache "
-            f"(first: {missing[0]}); the disk tier may have been pruned "
-            "or disabled mid-batch"
-        )
-    return results
+    return [found[fp] for fp in prints]
 
 
-def _run_serial(jobs, prints, pending, journal) -> BatchSupervision:
+def _run_serial(tasks, keys, journal, on_result) -> BatchSupervision:
     """In-process path: no pool, but still journaled and interruptible."""
     stop = threading.Event()
     completed = 0
     interrupted = False
     with _graceful_interrupt(stop):
-        for i in pending:
+        for k, task in enumerate(tasks):
             if stop.is_set():
                 interrupted = True
                 break
-            result = _worker(jobs[i])
-            sim_cache.put(prints[i], result, meta=_job_meta(jobs[i], result))
+            on_result(k, _worker(task))
             completed += 1
             if journal is not None:
-                journal.record_job(prints[i], "done", cached=False)
+                journal.record_job(keys[k], "done", cached=False)
         else:
             interrupted = stop.is_set()
     supervision = BatchSupervision(
-        submitted=len(pending),
+        submitted=len(tasks),
         completed=completed,
         interrupted=interrupted,
     )
@@ -676,7 +676,7 @@ def _run_serial(jobs, prints, pending, journal) -> BatchSupervision:
         run_id = journal.run_id if journal is not None else None
         if journal is not None:
             journal.record_event(
-                "interrupted", settled=completed, total=len(pending)
+                "interrupted", settled=completed, total=len(tasks)
             )
         global _last_supervision
         _last_supervision = supervision
@@ -686,31 +686,3 @@ def _run_serial(jobs, prints, pending, journal) -> BatchSupervision:
             run_id=run_id,
         )
     return supervision
-
-
-def prefetch_model_runs(
-    specs: Sequence[Tuple],
-) -> None:
-    """Warm the cache for ``run_model_on``-style specs.
-
-    Each spec is ``(model, config_name)`` optionally followed by ``base``
-    (a :class:`SystemConfig` or None) and ``steps`` — positionally the
-    same arguments :func:`repro.experiments.common.run_model_on` takes.
-
-    A no-op in surrogate mode: estimated runs cost microseconds each, so
-    warming the exact-result cache would just re-introduce the
-    simulations the surrogate exists to skip.
-    """
-    from .common import cached_graph, resolve_configuration, surrogate_enabled
-
-    if surrogate_enabled():
-        return
-
-    jobs: List[Job] = []
-    for spec in specs:
-        model, config_name = spec[0], spec[1]
-        base = spec[2] if len(spec) > 2 else None
-        steps = spec[3] if len(spec) > 3 else None
-        config, policy = resolve_configuration(config_name, base)
-        jobs.append((cached_graph(model), policy, config, steps))
-    run_jobs(jobs)

@@ -45,27 +45,9 @@ ARTIFACTS: Tuple[Tuple[str, object], ...] = (
 )
 
 
-def prefetch() -> None:
-    """Warm the simulation cache for the runs shared across figures.
-
-    One fan-out covers the full (model x configuration) grid plus the
-    Neurocube baseline — the inputs of Figures 8, 9, 10, 13, 14 and 16 —
-    so the figure modules' own loops start from a hot cache.  Figure-local
-    sweeps (frequency/PIM-count bases, RC/OP variants, co-runs) fan out
-    inside their modules.
-    """
-    from .common import EVAL_CONFIGS, EVAL_MODELS
-    from .runner import prefetch_model_runs
-
-    prefetch_model_runs(
-        [(m, c) for m in EVAL_MODELS for c in EVAL_CONFIGS + ("neurocube",)]
-    )
-
-
 def run_all(skip: Tuple[str, ...] = ()) -> str:
     """Run every artifact (optionally skipping slow ones by heading
     substring) and return the combined report."""
-    prefetch()
     blocks: List[str] = []
     for heading, module in ARTIFACTS:
         if any(token in heading for token in skip):

@@ -15,7 +15,17 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..errors import GraphError
 from .ops import Op, OpCost
@@ -43,6 +53,15 @@ class Graph:
     _op_order: List[str] = field(default_factory=list)
     _producer: Dict[str, str] = field(default_factory=dict)
     _param_updates: Dict[str, str] = field(default_factory=dict)
+    #: Derived once from the structure above, which ``add_op`` alone
+    #: changes (it drops them); a renamed ``copy.copy`` shares both with
+    #: that structure, as neither depends on the name.
+    _preds: Optional[Dict[str, FrozenSet[str]]] = field(
+        default=None, compare=False, repr=False
+    )
+    _topo: Optional[Tuple[Op, ...]] = field(
+        default=None, compare=False, repr=False
+    )
 
     # ------------------------------------------------------------------
     # construction
@@ -75,6 +94,7 @@ class Graph:
                 )
         self._ops[op.name] = op
         self._op_order.append(op.name)
+        self._preds = self._topo = None
         for tname in op.outputs:
             self._producer[tname] = op.name
         param = op.attrs.get("param_written")
@@ -120,19 +140,24 @@ class Graph:
         self.tensor(tensor_name)
         return self._producer.get(tensor_name)
 
-    def predecessors(self, op_name: str) -> Set[str]:
+    def predecessors(self, op_name: str) -> FrozenSet[str]:
         """Ops whose outputs this op consumes (intra-step dependences)."""
-        op = self.op(op_name)
-        preds = set()
-        for tname in op.inputs:
-            prod = self._producer.get(tname)
-            if prod is not None:
-                preds.add(prod)
-        extra = op.attrs.get("control_deps", ())
-        for dep in extra:  # type: ignore[union-attr]
-            self.op(str(dep))
-            preds.add(str(dep))
-        return preds
+        self.op(op_name)
+        return self.predecessor_sets()[op_name]
+
+    def predecessor_sets(self) -> Mapping[str, FrozenSet[str]]:
+        """:meth:`predecessors` of every op, derived once per structure."""
+        if self._preds is None:
+            producer = self._producer
+            preds: Dict[str, FrozenSet[str]] = {}
+            for name, op in self._ops.items():
+                found = {producer[t] for t in op.inputs if t in producer}
+                for dep in map(str, op.attrs.get("control_deps", ())):
+                    self.op(dep)
+                    found.add(dep)
+                preds[name] = frozenset(found)
+            self._preds = preds
+        return self._preds
 
     def successors(self, op_name: str) -> Set[str]:
         """Ops that consume this op's outputs."""
@@ -162,13 +187,20 @@ class Graph:
     # analysis
     # ------------------------------------------------------------------
     def topological_order(self) -> List[Op]:
-        """Ops in dependency order; raises :class:`GraphError` on cycles."""
+        """Ops in dependency order; raises :class:`GraphError` on cycles.
+
+        Derived once per structure (see :meth:`predecessor_sets`)."""
+        if self._topo is None:
+            self._topo = self._derive_topological_order()
+        return list(self._topo)
+
+    def _derive_topological_order(self) -> Tuple[Op, ...]:
         indeg: Dict[str, int] = {name: 0 for name in self._ops}
         succs: Dict[str, List[str]] = defaultdict(list)
-        for name in self._ops:
-            for pred in self.predecessors(name):
+        for name, preds in self.predecessor_sets().items():
+            for pred in preds:
                 succs[pred].append(name)
-                indeg[name] += 1
+            indeg[name] = len(preds)
         ready = deque(n for n in self._op_order if indeg[n] == 0)
         order: List[Op] = []
         while ready:
@@ -181,7 +213,7 @@ class Graph:
         if len(order) != len(self._ops):
             stuck = sorted(n for n, d in indeg.items() if d > 0)
             raise GraphError(f"dependency cycle involving: {stuck[:8]}")
-        return order
+        return tuple(order)
 
     def validate(self) -> None:
         """Check structural invariants (acyclicity, tensor consistency)."""

@@ -75,6 +75,7 @@ class TraceTemplate:
     def __init__(self, graph: Graph, steps: int) -> None:
         name = graph.name
         topo = graph.topological_order()
+        preds = graph.predecessor_sets()
         n = len(topo)
         index = {op.name: i for i, op in enumerate(topo)}
         model_keys: Dict[str, Tuple[Tuple[str, int], ...]] = {
@@ -85,9 +86,7 @@ class TraceTemplate:
         cross: List[Tuple[int, ...]] = []
         op_keys = []
         for op in topo:
-            intra.append(
-                tuple(sorted({index[pred] for pred in graph.predecessors(op.name)}))
-            )
+            intra.append(tuple(sorted([index[pred] for pred in preds[op.name]])))
             previous = set()
             for param in graph.params_read_by(op.name):
                 update = graph.param_update_op(param)

@@ -167,7 +167,7 @@ class TestAblationFigures:
         labels = [label for label, _rc, _op in ablation.VARIANTS]
         assert labels == ["no RC/OP", "RC", "OP", "RC+OP"]
         with pytest.raises(ValueError):
-            ablation.run_variant("dcgan", "bogus")
+            ablation._variant_job("dcgan", "bogus")
 
     def test_fig13_rc_op_speedup(self):
         result = fig13.run(models=("dcgan",))

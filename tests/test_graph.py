@@ -121,6 +121,42 @@ class TestTopologicalOrder:
             g.add_op(Op("b", "Relu", inputs=("x",), outputs=("y",)))
             g.topological_order()
 
+    def test_derived_once_and_dropped_by_add_op(self, monkeypatch):
+        g = tiny_graph()
+        derived = []
+        original = Graph._derive_topological_order
+        monkeypatch.setattr(
+            Graph,
+            "_derive_topological_order",
+            lambda self: derived.append(1) or original(self),
+        )
+        first = g.topological_order()
+        assert g.topological_order() == first and len(derived) == 1
+        assert g.predecessor_sets() is g.predecessor_sets()
+        g.add_tensor(TensorSpec("z", (4, 8)))
+        g.add_op(Op("d", "Relu", inputs=("t2",), outputs=("z",)))
+        assert g.predecessors("d") == {"b"}
+        order = [op.name for op in g.topological_order()]
+        assert len(order) == 5 and order.index("b") < order.index("d")
+        assert len(derived) == 2
+
+    def test_derived_structure_stays_out_of_equality(self):
+        warm, cold = tiny_graph(), tiny_graph()
+        warm.topological_order()
+        assert warm == cold
+
+    def test_shallow_renamed_copy_keeps_the_order(self):
+        import copy
+
+        base = tiny_graph()
+        order = [op.name for op in base.topological_order()]
+        replica = copy.copy(base)
+        replica.name = "tiny#1"
+        assert [op.name for op in replica.topological_order()] == order
+        assert replica.predecessors("b") == {"a"}
+        merged = merge_graphs("both", [base, replica])
+        assert merged.predecessors("tiny#1::b") == {"tiny#1::a"}
+
     def test_resident_bytes_excludes_gradients(self):
         g = Graph(name="g")
         g.add_tensor(TensorSpec("act", (100,)))

@@ -7,6 +7,7 @@ import pytest
 from repro.baselines import build_configuration
 from repro.config import default_config
 from repro.experiments import clear_caches, run_model_on, runner
+from repro.experiments.common import model_job, run_points
 from repro.nn.models import build_model
 from repro.runtime.scheduler import HeteroPimPolicy, MixedWorkloadPolicy
 from repro.sim import cache as sim_cache
@@ -209,10 +210,10 @@ class TestRunner:
         for results in (parallel, warm, from_disk):
             assert results == serial
 
-    def test_prefetch_warms_run_model_on(self):
-        runner.prefetch_model_runs([(MODEL, "cpu")])
+    def test_run_points_stores_what_run_model_on_reads(self):
+        runs = run_points({"cpu": model_job(MODEL, "cpu")})
         sim_cache.reset_stats()
-        run_model_on(MODEL, "cpu")
+        assert run_model_on(MODEL, "cpu") is runs["cpu"]
         assert sim_cache.stats()["misses"] == 0
 
 

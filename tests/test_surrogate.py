@@ -204,6 +204,41 @@ class TestExperimentMode:
         rel = abs(est.step_time_s - exact.step_time_s) / exact.step_time_s
         assert rel <= band
 
+    def test_figures_estimate_and_fall_back_by_stage(
+        self, private_cache, monkeypatch
+    ):
+        from repro import surrogate
+        from repro.experiments import fig8, fig15
+
+        _warm()
+        train_from_cache(grid=GRID)
+        exact_fig15 = fig15.run(models=("alexnet",))
+        estimates = []
+        estimate = surrogate.estimate_run
+        monkeypatch.setattr(
+            surrogate,
+            "estimate_run",
+            lambda *job: estimates.append(job) or estimate(*job),
+        )
+        sim_cache.reset_stats()
+        prior = set_surrogate(True)
+        try:
+            fig8_cells = fig8.run(models=("alexnet",))["alexnet"]
+            assert sim_cache.stats()["stores"] == 0
+            del estimates[:]
+            estimated_fig15 = fig15.run(models=("alexnet",))
+        finally:
+            set_surrogate(prior)
+        assert all(
+            cell.result.metrics["surrogate.estimated"] == 1.0
+            for cell in fig8_cells.values()
+        )
+        # the four RC/OP variants are estimated first; the fixture's grid
+        # gives a utilization estimate for RC+OP alone, so fig15 falls
+        # back to exact runs
+        assert len(estimates) == 4
+        assert estimated_fig15 == exact_fig15
+
 
 class TestCli:
     def test_train_without_cache_exits_one_with_one_line(
