@@ -17,9 +17,8 @@ from typing import Dict, Tuple
 
 from ..faults import FaultSpec
 from ..hardware.hmc import StackGeometry
-from .common import cached_graph, resolve_configuration, run_model_on
+from .common import model_job, run_points
 from .report import TextTable
-from .runner import run_jobs
 
 #: Fault-event counts of the sweep (0 = the fault-free baseline row).
 DEFAULT_EVENT_COUNTS = (0, 1, 2, 4, 8)
@@ -62,20 +61,26 @@ def run(
     seed: int = DEFAULT_SEED,
     steps: int = 2,
 ) -> Dict[int, FaultCell]:
-    # two stages: the fault specs are drawn over the clean run's makespan
-    baseline = run_model_on(model, config, steps=steps)
-    system, policy = resolve_configuration(config)
-    graph = cached_graph(model)
-    specs = {
-        n: _spec_for(n, seed, baseline.makespan_s, system)
-        for n in event_counts
-        if n > 0
-    }
-    jobs = [
-        (graph, policy, system, steps, specs[n])
-        for n in sorted(specs)
-    ]
-    results = dict(zip(sorted(specs), run_jobs(jobs)))
+    # two stages: the fault specs are drawn over the clean run's makespan.
+    # Both are exact, also under the surrogate: the overheads compare
+    # simulated faulted runs with a simulated baseline.
+    job = model_job(model, config, steps=steps)
+    graph, policy, system, _ = job
+    baseline = run_points({0: job}, exact=True)[0]
+    results = run_points(
+        {
+            n: (
+                graph,
+                policy,
+                system,
+                steps,
+                _spec_for(n, seed, baseline.makespan_s, system),
+            )
+            for n in sorted(event_counts)
+            if n > 0
+        },
+        exact=True,
+    )
     out: Dict[int, FaultCell] = {}
     for n in event_counts:
         result = baseline if n == 0 else results[n]

@@ -20,10 +20,11 @@ Registration::
         ...
 
 Third-party packages can ship backends via the ``repro.backends``
-entry-point group; entries are discovered lazily on the first registry
-lookup and must resolve to a :class:`HardwareBackend` subclass or
-instance.  Discovery failures are reported as warnings, never import
-errors — a broken plugin must not take down the simulator.
+entry-point group; entries are discovered lazily, on the first listing,
+unregistration or lookup of a name no builtin has, and must resolve to
+a :class:`HardwareBackend` subclass or instance.  Discovery failures
+are reported as warnings, never import errors — a broken plugin must
+not take down the simulator.
 
 Every built ``SystemConfig`` is tagged with its backend name
 (``SystemConfig.backend``), which joins the simulation-cache fingerprint,
@@ -207,14 +208,19 @@ def unregister(name: str) -> None:
 def get(name: str) -> HardwareBackend:
     """The registered backend called ``name``.
 
-    Raises :class:`~repro.errors.UnknownBackendError` carrying the
-    registered names so callers (the CLI) can print them.
+    A builtin (or already registered) name resolves without scanning the
+    installed packages' entry points; only a name nobody registered yet
+    triggers that scan.  Raises :class:`~repro.errors.UnknownBackendError`
+    carrying the registered names so callers (the CLI) can print them.
     """
-    _ensure_loaded()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise UnknownBackendError(name, available=list_backends()) from None
+    _ensure_builtins()
+    backend = _REGISTRY.get(name)
+    if backend is None:
+        _ensure_loaded()
+        backend = _REGISTRY.get(name)
+        if backend is None:
+            raise UnknownBackendError(name, available=list_backends())
+    return backend
 
 
 def list_backends() -> Tuple[str, ...]:
@@ -244,22 +250,36 @@ def build(
     return system, policy
 
 
-def _ensure_loaded() -> None:
-    """Load builtin backends, then third-party entry points, once.
+def _ensure_builtins() -> None:
+    """Load the builtin backends, once.
 
     Thread-safe: the serve daemon fingerprints requests on worker
     threads, so first touch can be concurrent.  The flags flip only
     *after* registration completes — a reader that grabs the lock next
     never observes a half-populated registry.
     """
-    global _builtins_loaded, _entry_points_loaded
-    if _builtins_loaded and _entry_points_loaded:
+    global _builtins_loaded
+    if _builtins_loaded:
         return
     with _load_lock:
         if not _builtins_loaded:
             from . import backends  # noqa: F401  (registers on import)
 
             _builtins_loaded = True
+
+
+def _ensure_loaded() -> None:
+    """Load the builtin backends, then third-party entry points, once.
+
+    Scanning the entry points reads every installed distribution's
+    metadata (tens of milliseconds), so only the calls that need the
+    complete registry come here.
+    """
+    global _entry_points_loaded
+    _ensure_builtins()
+    if _entry_points_loaded:
+        return
+    with _load_lock:
         if not _entry_points_loaded:
             _load_entry_points()
             _entry_points_loaded = True

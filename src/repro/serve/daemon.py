@@ -54,6 +54,7 @@ import asyncio
 import hashlib
 import json
 import math
+import os
 import signal
 import threading
 import time
@@ -90,6 +91,44 @@ DEADLINE_HEADER = "x-repro-deadline-ms"
 
 #: Report store directory, relative to the cache root.
 REPORTS_DIR = "serve/reports"
+
+
+_ENV_VERIFY = "REPRO_VERIFY_READS"
+
+#: In ``sample`` mode, one store hit in this many re-hashes its report.
+VERIFY_SAMPLE_EVERY = 8
+
+
+def verify_mode() -> str:
+    """Report-read verification policy: ``off`` | ``sample`` | ``always``."""
+    mode = os.environ.get(_ENV_VERIFY, "sample").strip().lower() or "sample"
+    if mode not in ("off", "sample", "always"):
+        raise ValueError(f"{_ENV_VERIFY} must be off, sample or always, got {mode!r}")
+    return mode
+
+
+_verify_lock = threading.Lock()
+_verify_reads = 0
+
+
+def should_verify() -> bool:
+    """Whether *this* store hit re-hashes its report against the sidecar.
+
+    ``sample`` verifies deterministically — the first of every
+    :data:`VERIFY_SAMPLE_EVERY` store hits in a process — rather than by
+    coin flip, so a corrupt hot report is caught within a bounded number
+    of reads and test runs are reproducible.
+    """
+    mode = verify_mode()
+    if mode == "always":
+        return True
+    if mode == "off":
+        return False
+    global _verify_reads
+    with _verify_lock:
+        sampled = _verify_reads % VERIFY_SAMPLE_EVERY == 0
+        _verify_reads += 1
+    return sampled
 
 
 def report_file(request_id: str) -> str:
@@ -803,7 +842,7 @@ class ServeDaemon:
                 data = fh.read()
         except OSError:
             return None
-        if not sim_cache.should_verify():
+        if not should_verify():
             return data
         sidecar = stored + ".sha256"
         try:

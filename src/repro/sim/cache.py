@@ -16,28 +16,28 @@ cache — the footgun of the old caller-supplied ``cache_key`` mechanism.
 Two tiers back the fingerprint:
 
 * an in-process dict (free hits within one run of the evaluation);
-* an on-disk store of canonical-JSON :class:`~repro.sim.results.RunResult`
-  records under ``<cache-dir>/objects/v<schema>/<aa>/<digest>.json``
-  (namespaced by ``CACHE_SCHEMA`` so newer-code entries are invisible to
-  older checkouts rather than misread), shared across
-  processes — the parallel experiment runner's parent stores its
-  workers' results there, and every later invocation (pytest,
-  benchmarks, the CLI) reads the same entries.  JSON (via the versioned
-  :meth:`~repro.sim.results.RunResult.to_dict` round trip) replaces the
-  earlier pickle format: entries are inspectable, diffable, and safe to
-  load from a shared directory.
+* an on-disk store of :class:`~repro.sim.results.RunResult` objects under
+  ``<cache-dir>/objects/v<schema>/<aa>/<digest>.json`` (namespaced by
+  ``CACHE_SCHEMA`` so newer-code entries are invisible to older
+  checkouts rather than misread), shared across processes — the
+  parallel experiment runner's parent stores its workers' results
+  there, and every later invocation (pytest, benchmarks, the CLI) reads
+  the same entries.
 
-The disk tier is content-*verified*, not just content-addressed: every
-object is a self-describing envelope ``{"repro_object": 1, "meta": ...,
-"sha256": ..., "payload": ...}`` whose ``sha256`` covers the payload
-bytes exactly as stored and whose ``meta`` records the run inputs
-(model, config, backend, steps, batch size) needed to *recompute* the
-object.  Reads verify the checksum per ``REPRO_VERIFY_READS``; anything
-damaged is quarantined to ``<cache-dir>/quarantine/`` (a counted
+The disk tier is content-*verified*, not just content-addressed.  Each
+object file is one JSON line, ``{"repro_object":2,"sha256":...,
+"meta":...}``, followed by the payload: the ``marshal`` bytes (format 2)
+of the versioned :meth:`~repro.sim.results.RunResult.to_dict`, which
+decode several times faster than the same record as JSON.  The digest
+covers every byte after it, and every disk read checks it before
+``marshal.loads`` sees the payload (unverified marshal can load wrong
+values or exhaust memory).  ``meta`` records the run inputs (model,
+config, backend, steps, batch size) needed to *recompute* the object;
+only fsck reads it.  Anything damaged is quarantined to
+``<cache-dir>/quarantine/`` (a counted
 :class:`~repro.errors.CorruptObjectError` event, then a recomputable
 miss) — corrupt bytes are never returned.  ``repro cache fsck
-[--repair]`` audits the whole store offline (see
-:mod:`repro.sim.fsck`).
+[--repair]`` audits the whole store offline (see :mod:`repro.sim.fsck`).
 
 Persistent write failures (ENOSPC, read-only mounts, dying disks) flip
 the store into a memory-only **degraded mode** — one warning line, a
@@ -49,9 +49,6 @@ Environment knobs:
 * ``REPRO_CACHE_DIR`` — cache directory (default ``.repro-cache`` under
   the current working directory);
 * ``REPRO_CACHE=0`` — disable the disk tier (the memory tier always runs);
-* ``REPRO_VERIFY_READS`` — ``off`` | ``sample`` (default: every 8th disk
-  read) | ``always`` — how often disk reads re-hash the payload against
-  the embedded checksum (structural validation always happens);
 * ``REPRO_DEGRADED_REPROBE_S`` — seconds between disk re-probes while in
   degraded mode (default 30).
 
@@ -102,20 +99,17 @@ if TYPE_CHECKING:
 # envelope validation, so the namespace advances with the format.
 # 7: per-task retries/degradations left the fault log (they are timeline
 # records now; the log keeps their counts).
-CACHE_SCHEMA = 7
+# 8: marshal payload behind a JSON head (object format 2).
+CACHE_SCHEMA = 8
 
-#: Envelope format tag inside each object file (orthogonal to
-#: ``CACHE_SCHEMA``: the namespace isolates *result* semantics, this tag
-#: names the container layout).
-OBJECT_FORMAT = 1
+#: Format tag in each object file's head (orthogonal to ``CACHE_SCHEMA``:
+#: the namespace isolates *result* semantics, this tag names the file
+#: layout).  2: a one-line JSON head, then a marshal payload.
+OBJECT_FORMAT = 2
 
 _ENV_DIR = "REPRO_CACHE_DIR"
 _ENV_ENABLE = "REPRO_CACHE"
-_ENV_VERIFY = "REPRO_VERIFY_READS"
 _ENV_REPROBE = "REPRO_DEGRADED_REPROBE_S"
-
-#: In ``sample`` mode, one disk read in this many re-hashes the payload.
-VERIFY_SAMPLE_EVERY = 8
 
 _memory: Dict[str, RunResult] = {}
 
@@ -162,40 +156,6 @@ _ENV_VALIDATE = "REPRO_VALIDATE"
 def validation_enabled() -> bool:
     """True when ``REPRO_VALIDATE`` requests invariant-checked runs."""
     return os.environ.get(_ENV_VALIDATE, "0") not in ("0", "")
-
-
-def verify_mode() -> str:
-    """Read-verification policy: ``off`` | ``sample`` | ``always``."""
-    mode = os.environ.get(_ENV_VERIFY, "sample").strip().lower() or "sample"
-    if mode not in ("off", "sample", "always"):
-        raise ValueError(
-            f"{_ENV_VERIFY} must be off, sample or always, got {mode!r}"
-        )
-    return mode
-
-
-_verify_lock = threading.Lock()
-_verify_reads = 0
-
-
-def should_verify() -> bool:
-    """Whether *this* disk read re-hashes the payload.
-
-    ``sample`` verifies deterministically — the first of every
-    :data:`VERIFY_SAMPLE_EVERY` disk reads in a process — rather than by
-    coin flip, so a corrupt hot object is caught within a bounded number
-    of reads and test runs are reproducible.
-    """
-    mode = verify_mode()
-    if mode == "always":
-        return True
-    if mode == "off":
-        return False
-    global _verify_reads
-    with _verify_lock:
-        sampled = _verify_reads % VERIFY_SAMPLE_EVERY == 0
-        _verify_reads += 1
-    return sampled
 
 
 # ---------------------------------------------------------------------------
@@ -653,122 +613,94 @@ def object_meta(
     return meta
 
 
-def _envelope(result: RunResult, meta: Optional[Dict[str, object]]):
-    """Serialize one disk object; returns ``(text, payload_offset)``.
+#: Every object file opens with these bytes, then its 64-hex-digit digest
+#: (see :func:`_object_bytes`); a read finds the digest at a fixed offset.
+_HEAD_PREFIX = b'{"repro_object":%d,"sha256":"' % OBJECT_FORMAT
+_DIGEST_END = len(_HEAD_PREFIX) + 64
 
-    Key order is deliberate (not sorted): ``meta`` and ``sha256`` sit at
-    the head of the file so they survive payload-region damage — the
-    tolerant header parse in :func:`extract_meta` is what makes repair
-    possible on an object whose payload no longer parses.
+#: marshal format of the payload.  Formats 3 and later write reference
+#: flags and interned-string codes that depend on object identity, so the
+#: same result could encode to different bytes after a pickle round trip
+#: (the pooled runner's path); format 2 writes values only.
+MARSHAL_VERSION = 2
+
+
+def _object_bytes(result: RunResult, meta: Optional[Dict[str, object]]):
+    """Serialize one disk object; returns ``(data, payload_offset)``.
+
+    The file is one JSON line, then the payload: the ``marshal`` bytes of
+    :meth:`~repro.sim.results.RunResult.to_dict`.  The line's ``sha256``
+    covers every byte after the digest (the rest of the line, ``meta``
+    included, and the payload), so a read checks the whole file without
+    decoding ``meta``.  ``meta`` stays in the head, clear of payload
+    damage, which is what lets :func:`extract_meta` recover it for repair.
     """
-    payload_json = result.to_json()
-    sha = hashlib.sha256(payload_json.encode()).hexdigest()
-    head = (
-        '{"repro_object":%d,"meta":%s,"sha256":"%s","payload":'
-        % (OBJECT_FORMAT, canonical_dumps(meta or {}), sha)
+    payload = marshal.dumps(result.to_dict(), MARSHAL_VERSION)
+    body = (
+        b'","meta":' + canonical_dumps(meta or {}).encode() + b"}\n" + payload
     )
-    return head + payload_json + "}", len(head)
+    digest = hashlib.sha256(body).hexdigest().encode()
+    data = _HEAD_PREFIX + digest + body
+    return data, len(data) - len(payload)
 
 
-#: Envelope bytes around the recorded digest (see :func:`_envelope`).
-_SHA_MARK = b',"sha256":"'
-_PAYLOAD_MARK = b'","payload":'
+def _load_object(data: bytes, path, fingerprint: Optional[str]) -> RunResult:
+    """Decode one object file; raise :class:`CorruptObjectError` on any
+    damage.
 
-
-def _stored_payload(data: bytes, recorded: str) -> Optional[bytes]:
-    """The payload bytes exactly as :func:`_envelope` wrote them after
-    the ``recorded`` digest, or None when the head lacks that layout."""
-    start = data.find(_SHA_MARK)
-    if start < 0 or not recorded.isascii():
-        return None
-    head_tail = recorded.encode() + _PAYLOAD_MARK
-    digest_at = start + len(_SHA_MARK)
-    payload_at = digest_at + len(head_tail)
-    if data[digest_at:payload_at] != head_tail or not data.endswith(b"}"):
-        return None
-    return data[payload_at:-1]
-
-
-def _load_object(
-    data: bytes, path, fingerprint: Optional[str], verify: bool
-) -> RunResult:
-    """Parse one envelope; raise :class:`CorruptObjectError` on any damage.
-
-    ``verify`` hashes the payload bytes as stored, so any edit to them
-    fails, even one that parses to the same values."""
-    try:
-        envelope = json.loads(data)
-    except (json.JSONDecodeError, ValueError) as exc:
-        raise CorruptObjectError(path, f"not valid JSON ({exc})", fingerprint)
-    if (
-        not isinstance(envelope, dict)
-        or envelope.get("repro_object") != OBJECT_FORMAT
-    ):
+    The digest is checked before ``marshal.loads`` sees a byte: marshal
+    of damaged bytes can load wrong values or ask for unbounded memory.
+    """
+    if data[: len(_HEAD_PREFIX)] != _HEAD_PREFIX:
         raise CorruptObjectError(
-            path, "not a cache-object envelope", fingerprint
+            path, f"not a format-{OBJECT_FORMAT} cache object", fingerprint
         )
-    payload = envelope.get("payload")
-    recorded = envelope.get("sha256")
-    if not isinstance(payload, dict) or not isinstance(recorded, str):
+    recorded = data[len(_HEAD_PREFIX) : _DIGEST_END]
+    view = memoryview(data)
+    actual = hashlib.sha256(view[_DIGEST_END:]).hexdigest()
+    if actual.encode() != recorded:
         raise CorruptObjectError(
-            path, "envelope is missing payload or sha256", fingerprint
+            path,
+            f"checksum mismatch (recorded "
+            f"{recorded[:12].decode('ascii', 'replace')}…, "
+            f"actual {actual[:12]}…)",
+            fingerprint,
         )
-    if verify:
-        stored = _stored_payload(data, recorded)
-        if stored is None:
-            raise CorruptObjectError(
-                path, "envelope head does not match its layout", fingerprint
-            )
-        actual = hashlib.sha256(stored).hexdigest()
-        if actual != recorded:
-            raise CorruptObjectError(
-                path,
-                f"checksum mismatch (recorded {recorded[:12]}…, "
-                f"actual {actual[:12]}…)",
-                fingerprint,
-            )
     try:
-        return RunResult.from_dict(payload)
+        payload = view[data.index(b"\n", _DIGEST_END) + 1 :]
+        return RunResult.from_dict(marshal.loads(payload))
     except Exception as exc:
         raise CorruptObjectError(
             path, f"payload does not deserialize ({exc!r})", fingerprint
         )
 
 
-def read_object(
-    path: Path, fingerprint: Optional[str] = None, verify: bool = True
-) -> RunResult:
+def read_object(path: Path, fingerprint: Optional[str] = None) -> RunResult:
     """Strict loader (fsck, tools): raises :class:`CorruptObjectError`."""
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise CorruptObjectError(path, f"unreadable ({exc})", fingerprint)
-    return _load_object(data, path, fingerprint, verify)
+    return _load_object(data, path, fingerprint)
 
 
-def extract_meta(text: str) -> Optional[Dict[str, object]]:
-    """Best-effort ``meta`` recovery from a (possibly damaged) envelope.
+def extract_meta(data: bytes) -> Optional[Dict[str, object]]:
+    """Best-effort ``meta`` recovery from a (possibly damaged) object.
 
-    Works whenever the damage lies at or after the ``sha256`` field: the
-    header prefix up to that marker is re-closed into a tiny valid JSON
-    object.  Returns ``None`` when the header itself is gone.
+    Decodes the JSON value after the head's ``"meta":`` key and ignores
+    whatever follows it, so damage to the payload (or to the newline
+    that ends the head) leaves ``meta`` readable.  Returns ``None`` when
+    the head itself is gone.
     """
-    try:
-        envelope = json.loads(text)
-        if isinstance(envelope, dict) and isinstance(
-            envelope.get("meta"), dict
-        ):
-            return envelope["meta"]
-    except (json.JSONDecodeError, ValueError):
-        pass
-    head, sep, _rest = text.partition(',"sha256":"')
-    if not sep:
+    mark = b',"meta":'
+    at = data.find(mark)
+    if at < 0:
         return None
+    text = data[at + len(mark) :].decode("utf-8", errors="replace")
     try:
-        envelope = json.loads(head + "}")
-    except (json.JSONDecodeError, ValueError):
+        meta, _end = json.JSONDecoder().raw_decode(text)
+    except ValueError:
         return None
-    meta = envelope.get("meta") if isinstance(envelope, dict) else None
     return meta if isinstance(meta, dict) else None
 
 
@@ -813,9 +745,9 @@ def _note_corrupt(path: Path, exc: CorruptObjectError) -> None:
 def get(fingerprint: str) -> Optional[RunResult]:
     """Look up a result by fingerprint (memory first, then disk).
 
-    A disk object that fails structural or (per ``REPRO_VERIFY_READS``)
-    checksum validation is quarantined and counted — the caller sees a
-    recomputable miss, never corrupt data.
+    A disk object that fails its checksum (or does not decode) is
+    quarantined and counted — the caller sees a recomputable miss, never
+    corrupt data.
     """
     result = _memory.get(fingerprint)
     if result is not None:
@@ -831,7 +763,7 @@ def get(fingerprint: str) -> Optional[RunResult]:
             _stats["misses_absent"] += 1
         else:
             try:
-                result = _load_object(data, path, fingerprint, should_verify())
+                result = _load_object(data, path, fingerprint)
             except CorruptObjectError as exc:
                 _note_corrupt(Path(path), exc)
                 result = None
@@ -872,10 +804,10 @@ def put(
         return
     path = _object_path(fingerprint)
     try:
-        text, payload_offset = _envelope(result, meta)
+        data, payload_offset = _object_bytes(result, meta)
         data = _chaos.mangle(
             "cache.object_write",
-            text.encode(),
+            data,
             token=fingerprint,
             protect=payload_offset,
         )
@@ -1022,9 +954,9 @@ def simulate_fresh(
     The one place a simulation is constructed: :func:`simulate_cached`
     on a miss, ``repro.api.simulate``'s live (observed or validated)
     runs and the batch runner's workers all come here.  ``validate``
-    runs the live invariant checker plus a serialization round-trip
-    equivalence check (the exact representation the disk tier and the
-    artifacts store), raising :class:`~repro.errors.InvariantViolation`
+    runs the live invariant checker plus two round-trip equivalence
+    checks, through the artifacts' JSON and through the disk tier's
+    stored form, raising :class:`~repro.errors.InvariantViolation`
     on the first broken law.  ``timeline`` is None unless
     ``record_timeline`` or ``validate`` asked for one.
     """
@@ -1048,6 +980,12 @@ def simulate_fresh(
             result,
             RunResult.from_json(result.to_json()),
             source="serialization round-trip",
+        )
+        stored, _offset = _object_bytes(result, None)
+        check_cache_equivalence(
+            result,
+            _load_object(stored, "<stored form>", None),
+            source="stored-form round-trip",
         )
     return result, sim.timeline
 

@@ -3,14 +3,15 @@
 ``repro cache fsck [--repair]`` drives :func:`fsck` over the three
 durable tiers:
 
-* **cache objects** (``objects/v<schema>/``) — every envelope is parsed
-  and its sha256 re-hashed.  Damage is repaired by quarantine +
-  *recompute*: the envelope's self-describing ``meta`` (model, config,
-  backend, steps, batch size) is recovered even from a payload-mangled
-  file (:func:`repro.sim.cache.extract_meta`), the run is re-resolved
-  through the public api, and the recomputed fingerprint must equal the
-  damaged file's name before the store is rewritten — so a repair can
-  never install the wrong result under a fingerprint.  Deterministic
+* **cache objects** (``objects/v<schema>/``) — every object's sha256 is
+  re-hashed and its payload decoded; objects of other schema namespaces
+  are counted ``legacy`` and left alone.  Damage is repaired by
+  quarantine + *recompute*: the head's self-describing ``meta`` (model,
+  config, backend, steps, batch size) is recovered even from a
+  payload-mangled file (:func:`repro.sim.cache.extract_meta`), the run
+  is re-resolved through the public api, and the recomputed fingerprint
+  must equal the damaged file's name before the store is rewritten — so
+  a repair can never install the wrong result under a fingerprint.  Deterministic
   simulation makes the recomputed artifact byte-identical, which
   ``tools/check_chaos.py`` asserts in CI.
 * **journals** (``journal/``) — loaded with per-line checksum and seal
@@ -124,9 +125,7 @@ def _recompute_object(fingerprint: str, meta: Dict[str, object]) -> bool:
         sim_cache._memory.pop(fingerprint, None)
         sim_cache.simulate_cached(graph, policy, system, steps)
         try:
-            sim_cache.read_object(
-                sim_cache._object_path(fingerprint), fingerprint, verify=True
-            )
+            sim_cache.read_object(sim_cache._object_path(fingerprint), fingerprint)
         except CorruptObjectError:
             return False  # the disk rejected the rewrite (degraded store?)
         return True
@@ -146,7 +145,7 @@ def _scan_objects(report: Report, repair: bool) -> None:
         objects["scanned"] += 1
         fingerprint = entry.stem
         try:
-            sim_cache.read_object(entry, fingerprint, verify=True)
+            sim_cache.read_object(entry, fingerprint)
         except CorruptObjectError:
             objects["corrupt"] += 1
         else:
@@ -155,10 +154,10 @@ def _scan_objects(report: Report, repair: bool) -> None:
         if not repair:
             continue
         try:
-            text = entry.read_text(errors="replace")
+            data = entry.read_bytes()
         except OSError:
-            text = ""
-        meta = sim_cache.extract_meta(text)
+            data = b""
+        meta = sim_cache.extract_meta(data)
         sim_cache.quarantine(entry)
         if meta is not None and _recompute_object(fingerprint, meta):
             objects["repaired"] += 1

@@ -8,6 +8,7 @@ artifacts through the registry refactor.
 """
 
 import hashlib
+import importlib.metadata
 import json
 
 import pytest
@@ -97,6 +98,47 @@ class TestRegistry:
         finally:
             registry.unregister("probe-backend")
         assert "probe-backend" not in registry.list_backends()
+
+    def test_builtin_lookup_scans_no_entry_points(self, monkeypatch):
+        """Scanning entry points reads every installed distribution's
+        metadata, so a builtin name resolves without it; a plugin is
+        still found by name and listed."""
+
+        class Plugin(HardwareBackend):
+            name = "plugin-backend"
+
+            def describe(self):
+                raise NotImplementedError
+
+            def build(self, configuration=None, base=None):
+                raise NotImplementedError
+
+        class EntryPoint:
+            name = "plugin"
+
+            def load(self):
+                return Plugin
+
+        scans = []
+
+        def entry_points(group):
+            scans.append(group)
+            return [EntryPoint()]
+
+        monkeypatch.setattr(importlib.metadata, "entry_points", entry_points)
+        monkeypatch.setattr(registry, "_entry_points_loaded", False)
+        try:
+            assert registry.get("hmc-hetero").name == "hmc-hetero"
+            assert scans == []
+            assert isinstance(registry.get("plugin-backend"), Plugin)
+            assert scans == [registry.ENTRY_POINT_GROUP]
+
+            del registry._REGISTRY["plugin-backend"]
+            registry._entry_points_loaded = False
+            assert "plugin-backend" in registry.list_backends()
+            assert len(scans) == 2
+        finally:
+            registry._REGISTRY.pop("plugin-backend", None)
 
     def test_build_tags_system_config(self):
         for name in BUILTIN_BACKENDS:

@@ -15,7 +15,8 @@ result keeps only their counts, so each faulted run is simulated with a
 timeline, and the timeline's retries and degradations are put back into
 the fault log as ``faults["retries"]``/``faults["degradations"]`` before
 hashing.  The same run without a timeline must encode to that record
-minus those two lists.
+minus those two lists.  Every entry also round-trips through the disk
+tier's stored form to the bytes of its ``to_json()``.
 
 Regenerate the map only for an intended behavioural change:
 
@@ -45,7 +46,8 @@ from repro.hardware import registry
 from repro.hardware.hmc import StackGeometry
 from repro.nn.layers import GraphBuilder
 from repro.nn.models import ALL_MODELS, build_model
-from repro.sim.results import canonical_dumps
+from repro.sim import cache as sim_cache
+from repro.sim.results import RunResult, canonical_dumps
 from repro.sim.simulation import Simulation
 
 CORPUS = pathlib.Path(__file__).parent / "golden" / "engine_corpus.json"
@@ -220,12 +222,20 @@ def _with_recovery_records(result, timeline):
     return canonical_dumps(record)
 
 
+@functools.lru_cache(maxsize=None)
+def _result(key):
+    """``key``'s result, simulated without a timeline."""
+    if key not in FAULTED:
+        return ENTRIES[key]()
+    return ENTRIES[key]()[0]
+
+
 def _pinned_text(key):
     """The bytes the corpus pins for ``key``."""
     if key not in FAULTED:
-        return ENTRIES[key]().to_json()
+        return _result(key).to_json()
     result, timeline = ENTRIES[key](record_timeline=True)
-    unrecorded, _ = ENTRIES[key]()
+    unrecorded = _result(key)
     assert unrecorded.to_json() == result.to_json(), (
         f"{key}: recording a timeline changed the result"
     )
@@ -250,6 +260,23 @@ def test_pinned_digest(corpus, key):
     assert _digest(key) == corpus[key], (
         f"{key}: the simulated result's bytes changed"
     )
+
+
+@pytest.mark.parametrize("key", list(ENTRIES))
+def test_stored_form_round_trip(key, tmp_path, monkeypatch):
+    """The disk tier's stored form gives back what the artifacts' JSON
+    does: the same bytes and an equal result."""
+    fresh = _result(key)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    monkeypatch.setattr(sim_cache, "_memory", {})
+    fingerprint = "ab" * 32
+    sim_cache.put(fingerprint, fresh)
+    sim_cache._memory.clear()
+    stored = sim_cache.get(fingerprint)
+    assert stored is not None and stored is not fresh
+    assert stored.to_json() == fresh.to_json()
+    assert stored == RunResult.from_json(fresh.to_json())
 
 
 @st.composite

@@ -1,4 +1,4 @@
-"""Storage integrity: envelopes, verified reads, degraded mode, chaos, fsck.
+"""Storage integrity: object files, verified reads, degraded mode, chaos, fsck.
 
 The invariants under test mirror ``tools/check_chaos.py``'s subprocess
 scenarios at unit granularity: a damaged object is never *served* (it is
@@ -10,8 +10,10 @@ the store to memory-only instead of crashing the run.
 
 import hashlib
 import json
-import re
+import marshal
+import pickle
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -27,9 +29,9 @@ from repro.chaos import (
 from repro.errors import CorruptObjectError
 from repro.experiments.common import cached_graph, resolve_configuration
 from repro.experiments.journal import RunJournal
+from repro.serve import daemon
 from repro.sim import cache as sim_cache
 from repro.sim import fsck as fsck_mod
-from repro.sim.results import canonical_dumps
 
 
 @pytest.fixture(autouse=True)
@@ -55,39 +57,48 @@ def _simulate(model="alexnet", steps=1, config="hetero-pim"):
 
 
 def _payload_offset(data: bytes) -> int:
-    """First byte of the (corruptible) payload region of an envelope."""
-    marker = b'"payload":'
-    return data.index(marker) + len(marker)
+    """First byte of the (corruptible) payload region of an object."""
+    return data.index(b"\n") + 1
 
 
 # ---------------------------------------------------------------------------
-# envelope format + verified reads
+# object envelope + verified reads
 # ---------------------------------------------------------------------------
 class TestEnvelope:
     def test_roundtrip_with_self_describing_meta(self):
         fingerprint, result = _simulate()
         path = sim_cache._object_path(fingerprint)
-        envelope = json.loads(path.read_text())
-        assert envelope["repro_object"] == sim_cache.OBJECT_FORMAT
-        meta = envelope["meta"]
+        data = path.read_bytes()
+        head = json.loads(data[: _payload_offset(data)])
+        assert list(head) == ["repro_object", "sha256", "meta"]
+        assert head["repro_object"] == sim_cache.OBJECT_FORMAT == 2
+        meta = head["meta"]
         assert meta["model"] == "alexnet"
         assert meta["backend"] == "hmc-hetero"
         assert meta["steps"] == 1
         assert meta["batch_size"] >= 1
-        assert len(envelope["sha256"]) == 64
+        # the digest sits at a fixed offset and covers every byte after it
+        digest_at = data.index(b'"sha256":"') + len(b'"sha256":"')
+        assert data[digest_at : digest_at + 64].decode() == head["sha256"]
+        assert head["sha256"] == hashlib.sha256(
+            data[digest_at + 64 :]
+        ).hexdigest()
+        payload = data[_payload_offset(data) :]
+        assert payload == marshal.dumps(result.to_dict(), 2)
         loaded = sim_cache.read_object(path, fingerprint)
         assert loaded == result
-        assert sim_cache.extract_meta(path.read_text()) == meta
+        assert sim_cache.extract_meta(data) == meta
 
     def test_meta_survives_payload_damage(self):
         fingerprint, _result = _simulate()
         path = sim_cache._object_path(fingerprint)
         data = bytearray(path.read_bytes())
         data[-15] ^= 0x08
+        data[_payload_offset(bytes(data)) - 1] ^= 0x01  # the head's newline
         path.write_bytes(bytes(data))
         with pytest.raises(CorruptObjectError):
             sim_cache.read_object(path, fingerprint)
-        meta = sim_cache.extract_meta(path.read_text())
+        meta = sim_cache.extract_meta(path.read_bytes())
         assert meta is not None and meta["model"] == "alexnet"
 
     def test_corrupt_object_is_quarantined_not_served(self):
@@ -118,21 +129,18 @@ class TestEnvelope:
         assert healed_fp == fingerprint and healed == result
         assert sim_cache.read_object(path, fingerprint) == result
 
-    def test_json_equivalent_payload_edit_is_caught(self):
+    def test_value_equivalent_payload_edit_is_caught(self):
         """The checksum covers the payload bytes as stored: an edit that
-        parses to the very same values (a float ``x.y`` -> ``x.y0``)
-        still fails, though re-encoding the parsed payload would match."""
+        loads to the very same values (the payload's first string tagged
+        interned, ``u`` -> ``t``) still fails, though re-encoding the
+        loaded payload would match."""
         fingerprint, _result = _simulate()
         path = sim_cache._object_path(fingerprint)
         clean = path.read_bytes()
         start = _payload_offset(clean)
-        number = re.compile(rb"\d\.\d+(?=[,}\]])").search(clean, start)
-        edited = clean[: number.end()] + b"0" + clean[number.end():]
-        before, after = json.loads(clean), json.loads(edited)
-        assert after == before
-        assert hashlib.sha256(
-            canonical_dumps(after["payload"]).encode()
-        ).hexdigest() == after["sha256"]
+        assert clean[start : start + 2] == b"{u"
+        edited = clean[: start + 1] + b"t" + clean[start + 2 :]
+        assert marshal.loads(edited[start:]) == marshal.loads(clean[start:])
 
         path.write_bytes(edited)
         sim_cache._memory.clear()
@@ -149,9 +157,10 @@ class TestEnvelope:
         assert report["objects"]["corrupt"] == 1
         assert path.read_bytes() == edited
 
-    def test_non_utf8_byte_is_a_corrupt_miss(self, monkeypatch):
-        """A byte that is not UTF-8 fails the decode: an unverified read
-        quarantines it and fsck counts it, neither raises."""
+    def test_reads_verify_whatever_the_serve_knob_says(self, monkeypatch):
+        """``REPRO_VERIFY_READS`` governs only the serve report store: a
+        damaged object is a corrupt miss with it off, and fsck counts it;
+        neither raises."""
         monkeypatch.setenv("REPRO_VERIFY_READS", "off")
         fingerprint, _result = _simulate()
         path = sim_cache._object_path(fingerprint)
@@ -170,19 +179,83 @@ class TestEnvelope:
     def test_verify_mode_values(self, monkeypatch):
         for mode in ("off", "sample", "always"):
             monkeypatch.setenv("REPRO_VERIFY_READS", mode)
-            assert sim_cache.verify_mode() == mode
+            assert daemon.verify_mode() == mode
         monkeypatch.setenv("REPRO_VERIFY_READS", "bogus")
         with pytest.raises(ValueError, match="REPRO_VERIFY_READS"):
-            sim_cache.verify_mode()
+            daemon.verify_mode()
 
     def test_sample_mode_verifies_one_in_n(self, monkeypatch):
         monkeypatch.setenv("REPRO_VERIFY_READS", "sample")
-        draws = [sim_cache.should_verify() for _ in range(
-            2 * sim_cache.VERIFY_SAMPLE_EVERY
+        draws = [daemon.should_verify() for _ in range(
+            2 * daemon.VERIFY_SAMPLE_EVERY
         )]
         assert draws.count(True) == 2
         monkeypatch.setenv("REPRO_VERIFY_READS", "off")
-        assert not any(sim_cache.should_verify() for _ in range(8))
+        assert not any(daemon.should_verify() for _ in range(8))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        frac=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        mask=st.integers(min_value=1, max_value=255),
+        truncate=st.booleans(),
+    )
+    def test_no_damage_reaches_marshal(self, frac, mask, truncate):
+        """Any byte flip or truncation, head or payload, is a quarantined
+        corrupt miss; ``marshal.loads`` only ever sees the clean
+        payload, whose digest matches."""
+        fingerprint, result = _simulate()
+        path = sim_cache._object_path(fingerprint)
+        clean = path.read_bytes()
+        clean_payload = clean[_payload_offset(clean) :]
+        offset = int(frac * len(clean))
+        if truncate:
+            damaged = clean[:offset]
+        else:
+            damaged = bytearray(clean)
+            damaged[offset] ^= mask
+            damaged = bytes(damaged)
+        seen = []
+        loads = marshal.loads
+
+        def spy(data):
+            seen.append(bytes(data))
+            return loads(data)
+
+        with mock.patch.object(marshal, "loads", spy):
+            path.write_bytes(damaged)
+            sim_cache._memory.clear()
+            sim_cache.reset_stats()
+            assert sim_cache.get(fingerprint) is None
+            stats = sim_cache.stats()
+            assert stats["misses_corrupt"] == 1
+            assert stats["quarantined"] == 1
+            assert not path.exists()
+            assert seen == []
+
+            path.write_bytes(clean)  # control: a clean read loads once
+            assert sim_cache.get(fingerprint) == result
+            assert seen == [clean_payload]
+
+    def test_object_bytes_do_not_depend_on_how_the_result_travelled(self):
+        """A result's object file is byte-identical whether it was stored
+        serially, stored after a pickle round trip (the pooled runner's
+        path) or rewritten by ``fsck --repair``."""
+        fingerprint, result = _simulate()
+        path = sim_cache._object_path(fingerprint)
+        serial = path.read_bytes()
+        meta = sim_cache.extract_meta(serial)
+
+        path.unlink()
+        sim_cache.put(fingerprint, pickle.loads(pickle.dumps(result)), meta)
+        assert path.read_bytes() == serial
+
+        damaged = bytearray(serial)
+        damaged[-1] ^= 0x01
+        path.write_bytes(bytes(damaged))
+        sim_cache._memory.clear()
+        report = fsck_mod.fsck(repair=True)
+        assert report["objects"]["repaired"] == 1, report
+        assert path.read_bytes() == serial
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +421,36 @@ class TestFsck:
         assert report["reports"]["corrupt"] == 1
         assert not fsck_mod.clean(report)
 
+    def test_json_object_of_the_previous_schema_is_legacy(self):
+        """A schema-7 object (a JSON envelope) is counted ``legacy`` and
+        left in place, with and without ``--repair``."""
+        _fingerprint, result = _simulate()
+        payload = result.to_json()
+        legacy = (
+            sim_cache.cache_dir() / "objects" / "v7" / "ab" / ("ab" * 32 + ".json")
+        )
+        legacy.parent.mkdir(parents=True)
+        legacy.write_text(
+            '{"repro_object":1,"meta":{},"sha256":"%s","payload":%s}'
+            % (hashlib.sha256(payload.encode()).hexdigest(), payload)
+        )
+        before = legacy.read_bytes()
+        for repair in (False, True):
+            report = fsck_mod.fsck(repair=repair)
+            assert report["objects"]["legacy"] == 1
+            assert report["objects"]["scanned"] == 1
+            assert report["objects"]["corrupt"] == 0
+            assert fsck_mod.clean(report)
+        assert legacy.read_bytes() == before
+        assert not sim_cache.quarantine_dir().exists()
+
     def test_faulted_object_is_unrepairable_but_quarantined(self):
         fingerprint, result = _simulate()
         path = sim_cache._object_path(fingerprint)
-        meta = sim_cache.extract_meta(path.read_text())
+        meta = sim_cache.extract_meta(path.read_bytes())
         meta["faulted"] = True  # faulted runs embed no replayable spec
-        text, _offset = sim_cache._envelope(result, meta)
-        damaged = bytearray(text.encode())
+        data, _offset = sim_cache._object_bytes(result, meta)
+        damaged = bytearray(data)
         damaged[-10] ^= 0x20
         path.write_bytes(bytes(damaged))
         sim_cache._memory.clear()

@@ -8,6 +8,7 @@ device-lane mapping for configurations without a GPU.
 
 import hashlib
 import json
+import marshal
 
 import pytest
 
@@ -130,21 +131,24 @@ class TestSerialization:
         assert clone.to_json() == report.to_json()
         assert report.to_dict()["report_schema"] == REPORT_SCHEMA_VERSION
 
-    def test_disk_tier_stores_canonical_json(self):
+    def test_disk_tier_stores_the_versioned_dict(self):
         result = run_model_on(MODEL, "hetero-pim")
         files = list((sim_cache.cache_dir() / "objects").rglob("*.json"))
         assert files
-        # The envelope embeds the canonical result JSON verbatim as its
-        # payload slice, checksummed by the header's sha256 field.
-        text = files[0].read_text()
-        head, sep, tail = text.partition('"payload":')
-        assert sep and tail.endswith("}")
-        payload = tail[:-1]
-        assert payload == result.to_json()
-        envelope = json.loads(text)
-        assert envelope["repro_object"] == 1
+        # One JSON head line, then the marshal bytes of the versioned
+        # dict, checksummed (with the rest of the head) by its sha256.
+        data = files[0].read_bytes()
+        head, sep, payload = data.partition(b"\n")
+        assert sep
+        assert marshal.loads(payload) == result.to_dict()
+        assert RunResult.from_dict(marshal.loads(payload)).to_json() == (
+            result.to_json()
+        )
+        envelope = json.loads(head)
+        assert envelope["repro_object"] == 2
+        digest_end = data.index(b'"sha256":"') + len(b'"sha256":"') + 64
         assert envelope["sha256"] == hashlib.sha256(
-            payload.encode()
+            data[digest_end:]
         ).hexdigest()
 
 

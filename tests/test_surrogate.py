@@ -240,6 +240,22 @@ class TestExperimentMode:
         assert estimated_fig15 == exact_fig15
 
 
+    def test_fault_sweep_stays_exact_in_surrogate_mode(self, private_cache):
+        """The sweep's clean baseline and its faulted specs are both
+        simulated, so its cells do not depend on the surrogate."""
+        from repro.experiments import faults
+
+        _warm()
+        train_from_cache(grid=GRID)
+        exact = faults.run(event_counts=(0, 1, 2))
+        prior = set_surrogate(True)
+        try:
+            estimated = faults.run(event_counts=(0, 1, 2))
+        finally:
+            set_surrogate(prior)
+        assert estimated == exact
+
+
 class TestCli:
     def test_train_without_cache_exits_one_with_one_line(
         self, private_cache, capsys

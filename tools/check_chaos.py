@@ -93,12 +93,12 @@ def run_cli(args: list, env: dict, check: bool = True):
     return proc
 
 
-def populate(cache: Path, chaos: str = "", verify: str = "") -> list:
+def populate(cache: Path, chaos: str = "") -> list:
     outs = []
     for model, config, steps in RUNS:
         proc = run_cli(
             ["run", model, "--config", config, "--steps", str(steps)],
-            cli_env(cache, chaos=chaos, verify=verify),
+            cli_env(cache, chaos=chaos),
         )
         outs.append(proc.stdout)
     return outs
@@ -121,7 +121,7 @@ def check_no_corrupt_bytes_served(tmp: Path, clean_out: list, clean_objects: dic
     flipped_out = populate(cache, chaos=chaos)
     assert flipped_out == clean_out, "fresh runs under write-corruption drifted"
 
-    healed_out = populate(cache, verify="always")
+    healed_out = populate(cache)  # every disk read verifies its object
     assert healed_out == clean_out, "corrupt store leaked into served results"
     quarantined = list((cache / "quarantine").rglob("*.json"))
     assert len(quarantined) == len(RUNS), (
