@@ -143,33 +143,6 @@ def clear_caches() -> None:
     sim_cache.clear()
 
 
-def cache_usage() -> Dict[str, int]:
-    """Result-cache counters plus disk-tier footprint, one flat dict."""
-    usage = dict(sim_cache.stats())
-    usage.update(sim_cache.disk_usage())
-    return usage
-
-
-def prune_cache(max_bytes: int) -> Dict[str, int]:
-    """LRU-prune the disk result tier to ``max_bytes`` (see
-    :func:`repro.sim.cache.prune`); the ``repro cache prune`` CLI calls
-    this."""
-    return sim_cache.prune(max_bytes)
-
-
-def last_batch_supervision():
-    """Supervision counts of the most recent experiment batch (or None).
-
-    A :class:`~repro.obs.report.BatchSupervision`: retries, watchdog
-    timeouts, worker crashes/respawns and quarantined-job fingerprints
-    recorded by the crash-safe runner
-    (:mod:`repro.experiments.runner`).
-    """
-    from .experiments import runner  # local: experiments imports api
-
-    return runner.last_supervision()
-
-
 def _resolve_run(
     model: Union[str, Graph],
     config: Optional[str],

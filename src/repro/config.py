@@ -48,10 +48,6 @@ class CPUConfig:
     dynamic_power_w: float = 45.0
     static_power_w: float = 23.0
 
-    @property
-    def effective_flops_per_core(self) -> float:
-        return self.effective_flops / self.cores
-
 
 @dataclass(frozen=True)
 class GPUConfig:

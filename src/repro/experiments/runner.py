@@ -152,10 +152,6 @@ _active_journal: Optional[RunJournal] = None
 _last_supervision: Optional[BatchSupervision] = None
 
 
-def active_journal() -> Optional[RunJournal]:
-    return _active_journal
-
-
 def last_supervision() -> Optional[BatchSupervision]:
     """Supervision counts of the most recent :func:`run_jobs` batch."""
     return _last_supervision

@@ -88,8 +88,3 @@ class CpuModel:
             flops / eff_flops if flops else 0.0,
             nbytes / bandwidth if nbytes else 0.0,
         )
-
-    def memory_accesses_bytes(self, op: Op) -> int:
-        """Main-memory traffic of ``op`` — the hardware-counter quantity the
-        profiling framework records (paper section II-A)."""
-        return op.host_traffic_bytes

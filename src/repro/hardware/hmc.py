@@ -86,8 +86,3 @@ class StackGeometry:
             zones.count(BankZone.EDGE),
             zones.count(BankZone.CENTER),
         )
-
-    @property
-    def per_bank_bandwidth(self) -> float:
-        """Internal bandwidth share of one bank at the current clock."""
-        return self.config.bandwidth / self.config.banks

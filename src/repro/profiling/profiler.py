@@ -30,10 +30,6 @@ class OpProfile:
     memory_bytes: int
     counters: CounterSample
 
-    @property
-    def memory_accesses(self) -> int:
-        return self.counters.main_memory_accesses
-
 
 @dataclass(frozen=True)
 class TypeProfile:

@@ -60,9 +60,6 @@ class SelectionResult:
     def is_candidate(self, op_name: str) -> bool:
         return op_name in self.candidates
 
-    def is_candidate_type(self, op_type: str) -> bool:
-        return op_type in self.candidate_types
-
     def to_dict(self) -> dict:
         """JSON-ready offload-decision log (deterministic order).
 

@@ -19,7 +19,7 @@ multi-tenant serving primitive:
 * **durability** — accepted requests are journaled
   (:mod:`repro.experiments.journal`, kind ``serve``) before they are
   queued and marked ``done`` after the canonical report JSON is written
-  atomically to ``<cache-dir>/serve/reports/``.  A daemon killed at any
+  atomically to ``<cache-dir>/serve/reports/v2/``.  A daemon killed at any
   instant therefore restarts into a consistent world: finished reports
   re-serve **byte-identically** from the store, and accepted-but-unserved
   requests are recovered from the journal and re-enqueued;
@@ -36,11 +36,12 @@ multi-tenant serving primitive:
   simulation over to surrogate-estimate serving tagged
   ``X-Repro-Degraded: surrogate`` (estimates are never stored — the
   exact report is recomputed once the breaker closes);
-* **integrity** — every stored report gets a sha256 sidecar
-  (``<id>.json.sha256``); store hits re-verify per
-  ``REPRO_VERIFY_READS`` and quarantine-then-recompute on mismatch, so
-  corrupt bytes are never served (see :mod:`repro.sim.fsck` for the
-  offline audit);
+* **integrity** — a stored report is framed like a cache object
+  (:func:`repro.sim.cache.frame`): one JSON head line holding a sha256
+  of the rest of the file and the request as ``meta``, then the report
+  bytes.  Every store hit checks the digest; a mismatch quarantines the
+  file and recomputes the request, so corrupt bytes are never served
+  (see :mod:`repro.sim.fsck` for the offline audit and repair);
 * **graceful drain** — SIGTERM/SIGINT stops accepting connections,
   finishes every queued request, journals ``complete`` and exits 0.
 
@@ -51,10 +52,8 @@ layer in :mod:`repro.serve.http`.
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import json
 import math
-import os
 import signal
 import threading
 import time
@@ -64,7 +63,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import api
 from ..chaos import injector as _chaos
-from ..errors import ExecutionError, ProtocolError, ReproError
+from ..errors import (
+    CorruptObjectError,
+    ExecutionError,
+    ProtocolError,
+    ReproError,
+)
 from ..experiments import journal as journal_mod
 from ..experiments.journal import RunJournal
 from ..obs.metrics import GLOBAL_REGISTRY, MetricsRegistry
@@ -89,46 +93,10 @@ _LATENCY_BUCKETS = (
 #: Header carrying a per-request deadline budget in milliseconds.
 DEADLINE_HEADER = "x-repro-deadline-ms"
 
-#: Report store directory, relative to the cache root.
-REPORTS_DIR = "serve/reports"
-
-
-_ENV_VERIFY = "REPRO_VERIFY_READS"
-
-#: In ``sample`` mode, one store hit in this many re-hashes its report.
-VERIFY_SAMPLE_EVERY = 8
-
-
-def verify_mode() -> str:
-    """Report-read verification policy: ``off`` | ``sample`` | ``always``."""
-    mode = os.environ.get(_ENV_VERIFY, "sample").strip().lower() or "sample"
-    if mode not in ("off", "sample", "always"):
-        raise ValueError(f"{_ENV_VERIFY} must be off, sample or always, got {mode!r}")
-    return mode
-
-
-_verify_lock = threading.Lock()
-_verify_reads = 0
-
-
-def should_verify() -> bool:
-    """Whether *this* store hit re-hashes its report against the sidecar.
-
-    ``sample`` verifies deterministically — the first of every
-    :data:`VERIFY_SAMPLE_EVERY` store hits in a process — rather than by
-    coin flip, so a corrupt hot report is caught within a bounded number
-    of reads and test runs are reproducible.
-    """
-    mode = verify_mode()
-    if mode == "always":
-        return True
-    if mode == "off":
-        return False
-    global _verify_reads
-    with _verify_lock:
-        sampled = _verify_reads % VERIFY_SAMPLE_EVERY == 0
-        _verify_reads += 1
-    return sampled
+#: Report store directory, relative to the cache root.  It is namespaced
+#: by the file format, so reports of an older layout sit outside it
+#: (``repro cache fsck`` counts them ``legacy``).
+REPORTS_DIR = "serve/reports/v%d" % sim_cache.OBJECT_FORMAT
 
 
 def report_file(request_id: str) -> str:
@@ -241,11 +209,6 @@ class ServeDaemon:
     def report_path(request_id: str) -> Path:
         """Durable location of one finished report (content-addressed)."""
         return Path(report_file(request_id))
-
-    @staticmethod
-    def sidecar_path(request_id: str) -> Path:
-        """Checksum sidecar beside one stored report."""
-        return Path(report_file(request_id) + ".sha256")
 
     def _counter(self, name: str):
         return self.metrics.counter(name)
@@ -598,15 +561,7 @@ class ServeDaemon:
 
     def _request_id_sync(self, request: SimulateRequest) -> str:
         session = self._session(request.tenant)
-        return session.fingerprint(
-            request.model,
-            request.config,
-            request.steps,
-            batch_size=request.batch_size,
-            frequency_scale=request.frequency_scale,
-            backend=request.backend,
-            surrogate=request.surrogate,
-        )
+        return session.fingerprint(**request.simulate_kwargs())
 
     def _parse_deadline(self, http_request: Request) -> Optional[float]:
         """Absolute expiry from ``X-Repro-Deadline-Ms`` (None = none)."""
@@ -767,9 +722,9 @@ class ServeDaemon:
                 pending.request_id, "failed", error=repr(exc)
             )
             return 400, error_body(400, str(exc))
-        text = report.to_json() + "\n"
-        self._store_report(pending.request_id, text)
-        return 200, text.encode()
+        body = (report.to_json() + "\n").encode()
+        self._store_report(pending, body)
+        return 200, body
 
     def _execute_degraded(self, pending: _Pending) -> Optional[Tuple[int, bytes]]:
         """Surrogate-estimate a request under a tripped breaker.
@@ -796,45 +751,28 @@ class ServeDaemon:
         self._journal_record(pending.request_id, "degraded")
         return 200, (report.to_json() + "\n").encode()
 
-    def _store_report(self, request_id: str, text: str) -> None:
-        """Persist one report + checksum sidecar (atomic, degradable).
+    def _store_report(self, pending: _Pending, body: bytes) -> None:
+        """Persist one report, framed with its request (atomic, degradable).
 
-        The sidecar hashes the *true* bytes and lands first, so a torn
-        or corrupted report write is always detectable; a store that
-        cannot be written degrades to serving from memory (the journal
-        keeps the request re-runnable) instead of failing the request.
+        A store that cannot be written degrades to serving from memory
+        (the journal keeps the request re-runnable) instead of failing
+        the request.
         """
-        path = self.report_path(request_id)
-        data = text.encode()
-        digest = hashlib.sha256(data).hexdigest()
-        try:
-            data = _chaos.mangle(
-                "serve.report_write", data, token=request_id
-            )
-            path.parent.mkdir(parents=True, exist_ok=True)
-            sidecar = self.sidecar_path(request_id)
-            tmp_side = sidecar.with_name(sidecar.name + ".tmp")
-            tmp_side.write_text(digest + "\n")
-            tmp_side.replace(sidecar)
-            tmp = path.with_name(path.name + ".tmp")
-            tmp.write_bytes(data)
-            tmp.replace(path)
-        except OSError as exc:
-            sim_cache.note_write_failure(
-                exc, f"serve report store for {request_id[:12]}…"
-            )
-            return
-        sim_cache.note_write_success()
-        self._journal_record(request_id, "done")
+        data, body_offset = sim_cache.frame(body, pending.request.to_dict())
+        if sim_cache.write_framed(
+            self.report_path(pending.request_id),
+            data,
+            body_offset,
+            "serve.report_write",
+            pending.request_id,
+        ):
+            self._journal_record(pending.request_id, "done")
 
     def _read_stored_report(self, request_id: str) -> Optional[bytes]:
-        """Stored report bytes, integrity-checked — or None.
+        """Stored report bytes, digest-checked — or None.
 
-        Verification policy follows ``REPRO_VERIFY_READS``; a sidecar
-        mismatch quarantines report *and* sidecar and returns None, so
-        the caller recomputes instead of serving corrupt bytes.  Reports
-        from before the sidecar era serve unverified (``fsck`` flags
-        them).
+        A damaged file is quarantined and None returned, so the caller
+        recomputes instead of serving corrupt bytes.
         """
         stored = report_file(request_id)
         try:
@@ -842,21 +780,13 @@ class ServeDaemon:
                 data = fh.read()
         except OSError:
             return None
-        if not should_verify():
-            return data
-        sidecar = stored + ".sha256"
         try:
-            with open(sidecar, "rb") as fh:
-                recorded = fh.read().strip()
-        except OSError:
-            return data
-        if recorded and hashlib.sha256(data).hexdigest().encode() != recorded:
+            return bytes(sim_cache.unframe(data, stored, request_id))
+        except CorruptObjectError:
             self._counter("serve.report_corrupt").inc()
             GLOBAL_REGISTRY.counter("serve.corrupt_reports").inc()
             sim_cache.quarantine(Path(stored))
-            sim_cache.quarantine(Path(sidecar))
             return None
-        return data
 
     # -- GET endpoints -----------------------------------------------------
     def _handle_report(

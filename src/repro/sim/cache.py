@@ -33,8 +33,9 @@ covers every byte after it, and every disk read checks it before
 ``marshal.loads`` sees the payload (unverified marshal can load wrong
 values or exhaust memory).  ``meta`` records the run inputs (model,
 config, backend, steps, batch size) needed to *recompute* the object;
-only fsck reads it.  Anything damaged is quarantined to
-``<cache-dir>/quarantine/`` (a counted
+only fsck reads it.  Stored serve reports use the same framing
+(:func:`frame`/:func:`unframe`) around their report bytes.  Anything
+damaged is quarantined to ``<cache-dir>/quarantine/`` (a counted
 :class:`~repro.errors.CorruptObjectError` event, then a recomputable
 miss) — corrupt bytes are never returned.  ``repro cache fsck
 [--repair]`` audits the whole store offline (see :mod:`repro.sim.fsck`).
@@ -613,8 +614,8 @@ def object_meta(
     return meta
 
 
-#: Every object file opens with these bytes, then its 64-hex-digit digest
-#: (see :func:`_object_bytes`); a read finds the digest at a fixed offset.
+#: Every framed file opens with these bytes, then its 64-hex-digit digest
+#: (see :func:`frame`); a read finds the digest at a fixed offset.
 _HEAD_PREFIX = b'{"repro_object":%d,"sha256":"' % OBJECT_FORMAT
 _DIGEST_END = len(_HEAD_PREFIX) + 64
 
@@ -625,17 +626,18 @@ _DIGEST_END = len(_HEAD_PREFIX) + 64
 MARSHAL_VERSION = 2
 
 
-def _object_bytes(result: RunResult, meta: Optional[Dict[str, object]]):
-    """Serialize one disk object; returns ``(data, payload_offset)``.
+def frame(payload: bytes, meta: Optional[Dict[str, object]]):
+    """Frame ``payload`` behind a checksummed head; returns ``(data,
+    payload_offset)``.
 
-    The file is one JSON line, then the payload: the ``marshal`` bytes of
-    :meth:`~repro.sim.results.RunResult.to_dict`.  The line's ``sha256``
-    covers every byte after the digest (the rest of the line, ``meta``
-    included, and the payload), so a read checks the whole file without
-    decoding ``meta``.  ``meta`` stays in the head, clear of payload
-    damage, which is what lets :func:`extract_meta` recover it for repair.
+    The file is one JSON line, ``{"repro_object":2,"sha256":...,
+    "meta":...}``, then the payload bytes.  The ``sha256`` covers every
+    byte after the digest (the rest of the line, ``meta`` included, and
+    the payload), so a read checks the whole file without decoding
+    ``meta``.  ``meta`` stays in the head, clear of payload damage, which
+    is what lets :func:`extract_meta` recover it for repair.  Cache
+    objects and stored serve reports share this format.
     """
-    payload = marshal.dumps(result.to_dict(), MARSHAL_VERSION)
     body = (
         b'","meta":' + canonical_dumps(meta or {}).encode() + b"}\n" + payload
     )
@@ -644,16 +646,13 @@ def _object_bytes(result: RunResult, meta: Optional[Dict[str, object]]):
     return data, len(data) - len(payload)
 
 
-def _load_object(data: bytes, path, fingerprint: Optional[str]) -> RunResult:
-    """Decode one object file; raise :class:`CorruptObjectError` on any
-    damage.
-
-    The digest is checked before ``marshal.loads`` sees a byte: marshal
-    of damaged bytes can load wrong values or ask for unbounded memory.
-    """
+def unframe(data: bytes, path, key: Optional[str]) -> memoryview:
+    """The payload of a framed file, after checking its digest; raise
+    :class:`CorruptObjectError` on any damage (``key`` names the file's
+    fingerprint or request id in the error)."""
     if data[: len(_HEAD_PREFIX)] != _HEAD_PREFIX:
         raise CorruptObjectError(
-            path, f"not a format-{OBJECT_FORMAT} cache object", fingerprint
+            path, f"no format-{OBJECT_FORMAT} head", key
         )
     recorded = data[len(_HEAD_PREFIX) : _DIGEST_END]
     view = memoryview(data)
@@ -664,10 +663,30 @@ def _load_object(data: bytes, path, fingerprint: Optional[str]) -> RunResult:
             f"checksum mismatch (recorded "
             f"{recorded[:12].decode('ascii', 'replace')}…, "
             f"actual {actual[:12]}…)",
-            fingerprint,
+            key,
         )
+    end = data.find(b"\n", _DIGEST_END)
+    if end < 0:
+        raise CorruptObjectError(path, "head has no end", key)
+    return view[end + 1 :]
+
+
+def _object_bytes(result: RunResult, meta: Optional[Dict[str, object]]):
+    """One cache object: the ``marshal`` bytes of
+    :meth:`~repro.sim.results.RunResult.to_dict`, framed with ``meta``;
+    returns ``(data, payload_offset)``."""
+    return frame(marshal.dumps(result.to_dict(), MARSHAL_VERSION), meta)
+
+
+def _load_object(data: bytes, path, fingerprint: Optional[str]) -> RunResult:
+    """Decode one object file; raise :class:`CorruptObjectError` on any
+    damage.
+
+    The digest is checked before ``marshal.loads`` sees a byte: marshal
+    of damaged bytes can load wrong values or ask for unbounded memory.
+    """
+    payload = unframe(data, path, fingerprint)
     try:
-        payload = view[data.index(b"\n", _DIGEST_END) + 1 :]
         return RunResult.from_dict(marshal.loads(payload))
     except Exception as exc:
         raise CorruptObjectError(
@@ -802,15 +821,30 @@ def put(
     if writes_suppressed():
         _stats["degraded_skips"] += 1
         return
-    path = _object_path(fingerprint)
+    data, payload_offset = _object_bytes(result, meta)
+    write_framed(
+        _object_path(fingerprint),
+        data,
+        payload_offset,
+        "cache.object_write",
+        fingerprint,
+    )
+
+
+def write_framed(
+    path: Path, data: bytes, payload_offset: int, site: str, token: str
+) -> bool:
+    """Write one framed file atomically (a unique temp file, then
+    ``os.replace``); returns True when it landed.
+
+    ``site`` is the chaos write hook (which damages only bytes from
+    ``payload_offset`` on, so the head survives for repair) and ``token``
+    the file's fingerprint or request id.  A failure is counted toward
+    degraded mode (:func:`note_write_failure`) instead of raised:
+    read-only/full/odd filesystems degrade to the memory tier.
+    """
     try:
-        data, payload_offset = _object_bytes(result, meta)
-        data = _chaos.mangle(
-            "cache.object_write",
-            data,
-            token=fingerprint,
-            protect=payload_offset,
-        )
+        data = _chaos.mangle(site, data, token=token, protect=payload_offset)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
@@ -821,10 +855,10 @@ def put(
             os.unlink(tmp)
             raise
     except OSError as exc:
-        # read-only/full/odd filesystems degrade to the memory tier
-        note_write_failure(exc, f"cache write for {fingerprint[:12]}…")
-    else:
-        note_write_success()
+        note_write_failure(exc, f"{site} for {token[:12]}…")
+        return False
+    note_write_success()
+    return True
 
 
 def clear(disk: bool = True) -> None:

@@ -55,11 +55,6 @@ class SlotDevice:
         return self._busy
 
     @property
-    def lost_slots(self) -> int:
-        """Slots permanently removed by injected faults."""
-        return self._lost
-
-    @property
     def effective_slots(self) -> int:
         """Usable slots: nominal count minus fault losses."""
         return self.slots - self._lost

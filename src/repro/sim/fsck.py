@@ -18,12 +18,13 @@ durable tiers:
   verification.  Interior damage is *reported* (the tolerant loader
   already drops such lines; the worst case is one recompute on resume);
   journals without a readable header are quarantined under ``--repair``.
-* **serve reports** (``serve/reports/``) — bytes re-hashed against the
-  sha256 sidecar.  Damage is repaired by recomputing the report from the
-  original request, which the serve journals carry verbatim in their
-  ``accepted`` lines; reports predating the sidecar era are counted
-  ``unverified`` (and, under ``--repair``, get a sidecar backfilled from
-  a recompute when a journaled request allows one).
+* **serve reports** (``serve/reports/v2/``) — framed like cache
+  objects, with the request as ``meta``, and checked the same way;
+  reports of other namespaces are counted ``legacy`` and left alone.
+  Damage is repaired by quarantine + recompute: the request is recovered
+  from the head, rebuilt through the serve protocol's validation, and
+  the report is rewritten only if the rebuilt request's id equals the
+  damaged file's name.
 
 Exit policy (see :func:`clean`): damaged *artifacts* (objects, reports)
 that remain unrepaired fail the audit; tolerated journal line damage
@@ -32,10 +33,9 @@ does not.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..errors import CorruptObjectError, ExecutionError, ReproError
 from . import cache as sim_cache
@@ -65,9 +65,9 @@ def _new_report() -> Report:
             "scanned": 0,
             "ok": 0,
             "corrupt": 0,
-            "unverified": 0,
             "repaired": 0,
             "unrepairable": 0,
+            "legacy": 0,
         },
     }
 
@@ -195,117 +195,68 @@ def _scan_journals(report: Report, repair: bool) -> None:
 # ---------------------------------------------------------------------------
 # serve reports
 # ---------------------------------------------------------------------------
-def _journaled_requests() -> Dict[str, Dict[str, object]]:
-    """request_id -> request dict, from every serve journal's
-    ``accepted`` lines (the daemon journals the full request verbatim)."""
-    from ..experiments import journal as journal_mod
+def _recompute_report(
+    request_id: str, meta: Dict[str, object], path: Path
+) -> bool:
+    """Recompute one damaged report from the request in its head.
 
-    requests: Dict[str, Dict[str, object]] = {}
-    for run_id in journal_mod.list_runs():
-        try:
-            loaded = journal_mod.RunJournal.load(run_id)
-        except ExecutionError:
-            continue
-        if loaded.header.get("kind") != "serve":
-            continue
-        for line in loaded.lines:
-            if line.get("event") != "job":
-                continue
-            if line.get("status") != "accepted":
-                continue
-            request_id = line.get("fp")
-            spec = line.get("request")
-            if isinstance(request_id, str) and isinstance(spec, dict):
-                requests.setdefault(request_id, spec)
-    return requests
-
-
-def _recompute_report_bytes(spec: Optional[Dict[str, object]]) -> Optional[bytes]:
-    """Re-run one journaled serve request; None when it cannot be replayed."""
+    The request is rebuilt through the serve protocol's validation and
+    its recomputed id must equal the damaged file's name before the
+    report is rewritten.  Returns False when the head cannot reproduce
+    this id.
+    """
     from .. import api
     from ..serve.protocol import build_simulate_request
 
-    if spec is None:
-        return None
     try:
-        request = build_simulate_request(dict(spec), {})
+        request = build_simulate_request(meta, {})
         session = api.Session(request.tenant)
-        result = session.simulate(**request.simulate_kwargs())
+        if session.fingerprint(**request.simulate_kwargs()) != request_id:
+            return False
+        report = session.simulate(**request.simulate_kwargs())
     except ReproError:
-        return None
-    return (result.to_json() + "\n").encode()
-
-
-def _write_report(request_id: str, path: Path, data: bytes) -> bool:
-    from ..serve.daemon import ServeDaemon
-
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        sidecar = ServeDaemon.sidecar_path(request_id)
-        sidecar.write_text(hashlib.sha256(data).hexdigest() + "\n")
-        path.write_bytes(data)
-    except OSError:
         return False
-    return True
+    data, body_offset = sim_cache.frame(
+        (report.to_json() + "\n").encode(), request.to_dict()
+    )
+    return sim_cache.write_framed(
+        path, data, body_offset, "serve.report_write", request_id
+    )
 
 
 def _scan_reports(report: Report, repair: bool) -> None:
-    from ..serve.daemon import REPORTS_DIR, ServeDaemon
+    from ..serve.daemon import REPORTS_DIR
 
     reports = report["reports"]
-    root = sim_cache.cache_dir() / REPORTS_DIR
+    current = sim_cache.cache_dir() / REPORTS_DIR
+    root = current.parent
     if not root.is_dir():
         return
-    journaled: Optional[Dict[str, Dict[str, object]]] = None
     for entry in sorted(root.rglob("*.json")):
+        if current not in entry.parents:
+            reports["legacy"] += 1
+            continue
         reports["scanned"] += 1
         request_id = entry.stem
-        sidecar = ServeDaemon.sidecar_path(request_id)
-        # bytes, as the daemon compares them: a non-UTF-8 sidecar is a
-        # damaged report, not an aborted audit
-        recorded = b""
         try:
-            recorded = sidecar.read_bytes().strip()
+            data = entry.read_bytes()
         except OSError:
-            pass
+            data = b""
         try:
-            stored = entry.read_bytes()
-        except OSError:
-            stored = b""
-        damaged = False
-        if not recorded:
-            reports["unverified"] += 1
-        elif hashlib.sha256(stored).hexdigest().encode() == recorded:
+            sim_cache.unframe(data, entry, request_id)
+        except CorruptObjectError:
+            reports["corrupt"] += 1
+        else:
             reports["ok"] += 1
             continue
-        else:
-            damaged = True
-            reports["corrupt"] += 1
         if not repair:
             continue
-        if journaled is None:
-            journaled = _journaled_requests()
-        expected = _recompute_report_bytes(journaled.get(request_id))
-        if damaged:
-            sim_cache.quarantine(entry)
-            sim_cache.quarantine(sidecar)
-            if expected is not None and _write_report(request_id, entry, expected):
-                reports["repaired"] += 1
-            else:
-                reports["unrepairable"] += 1
-        elif expected is not None:
-            # pre-sidecar legacy report: only bless bytes that a replay
-            # reproduces exactly; a mismatch means the file is damaged
-            if expected == stored:
-                _write_report(request_id, entry, expected)
-            else:
-                reports["unverified"] -= 1
-                reports["corrupt"] += 1
-                sim_cache.quarantine(entry)
-                if _write_report(request_id, entry, expected):
-                    reports["repaired"] += 1
-                else:
-                    reports["unrepairable"] += 1
+        meta = sim_cache.extract_meta(data)
+        sim_cache.quarantine(entry)
+        if meta is not None and _recompute_report(request_id, meta, entry):
+            reports["repaired"] += 1
+        else:
+            reports["unrepairable"] += 1
 
 
 def fsck(repair: bool = False) -> Report:

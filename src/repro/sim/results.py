@@ -106,14 +106,6 @@ class RunResult:
         """Per-step energy-delay product (Figure 17a metric)."""
         return self.step_energy_j * self.step_time_s
 
-    def speedup_over(self, other: "RunResult") -> float:
-        """How much faster this run is than ``other`` (>1 = faster)."""
-        return other.step_time_s / self.step_time_s
-
-    def energy_ratio_over(self, other: "RunResult") -> float:
-        """How much less dynamic energy than ``other`` (>1 = less energy)."""
-        return other.step_dynamic_energy_j / self.step_dynamic_energy_j
-
     # ------------------------------------------------------------------
     # versioned serialization
     # ------------------------------------------------------------------

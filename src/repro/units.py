@@ -51,11 +51,6 @@ TFLOPS = 1e12
 FLOAT32_BYTES = 4
 
 
-def mm2(value: float) -> float:
-    """Identity helper marking a value as an area in square millimetres."""
-    return value
-
-
 def seconds_per_cycle(frequency_hz: float) -> float:
     """Duration of one clock cycle at ``frequency_hz``."""
     if frequency_hz <= 0:

@@ -1,4 +1,4 @@
-"""Storage integrity: object files, verified reads, degraded mode, chaos, fsck.
+"""Storage integrity: framed files, verified reads, degraded mode, chaos, fsck.
 
 The invariants under test mirror ``tools/check_chaos.py``'s subprocess
 scenarios at unit granularity: a damaged object is never *served* (it is
@@ -29,16 +29,17 @@ from repro.chaos import (
 from repro.errors import CorruptObjectError
 from repro.experiments.common import cached_graph, resolve_configuration
 from repro.experiments.journal import RunJournal
-from repro.serve import daemon
+from repro.serve import start_in_thread
+from repro.serve.bench import post_simulate
+from repro.serve.daemon import ServeDaemon
 from repro.sim import cache as sim_cache
 from repro.sim import fsck as fsck_mod
 
 
 @pytest.fixture(autouse=True)
 def isolated_store(tmp_path, monkeypatch):
-    """Throwaway cache, always-verify reads, no inherited chaos."""
+    """Throwaway cache, no inherited chaos."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.setenv("REPRO_VERIFY_READS", "always")
     monkeypatch.delenv("REPRO_CHAOS", raising=False)
     monkeypatch.setattr(sim_cache, "_memory", {})
     sim_cache.reset_stats()
@@ -156,42 +157,6 @@ class TestEnvelope:
         report = fsck_mod.fsck(repair=False)
         assert report["objects"]["corrupt"] == 1
         assert path.read_bytes() == edited
-
-    def test_reads_verify_whatever_the_serve_knob_says(self, monkeypatch):
-        """``REPRO_VERIFY_READS`` governs only the serve report store: a
-        damaged object is a corrupt miss with it off, and fsck counts it;
-        neither raises."""
-        monkeypatch.setenv("REPRO_VERIFY_READS", "off")
-        fingerprint, _result = _simulate()
-        path = sim_cache._object_path(fingerprint)
-        damaged = bytearray(path.read_bytes())
-        damaged[_payload_offset(bytes(damaged)) + 5] = 0xFF
-        path.write_bytes(bytes(damaged))
-        sim_cache._memory.clear()
-        sim_cache.reset_stats()
-        assert sim_cache.get(fingerprint) is None
-        assert sim_cache.stats()["misses_corrupt"] == 1
-        assert not path.exists()
-
-        path.write_bytes(bytes(damaged))
-        assert fsck_mod.fsck(repair=False)["objects"]["corrupt"] == 1
-
-    def test_verify_mode_values(self, monkeypatch):
-        for mode in ("off", "sample", "always"):
-            monkeypatch.setenv("REPRO_VERIFY_READS", mode)
-            assert daemon.verify_mode() == mode
-        monkeypatch.setenv("REPRO_VERIFY_READS", "bogus")
-        with pytest.raises(ValueError, match="REPRO_VERIFY_READS"):
-            daemon.verify_mode()
-
-    def test_sample_mode_verifies_one_in_n(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VERIFY_READS", "sample")
-        draws = [daemon.should_verify() for _ in range(
-            2 * daemon.VERIFY_SAMPLE_EVERY
-        )]
-        assert draws.count(True) == 2
-        monkeypatch.setenv("REPRO_VERIFY_READS", "off")
-        assert not any(daemon.should_verify() for _ in range(8))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -406,21 +371,6 @@ class TestFsck:
         assert path.read_bytes() == bytes(data)  # untouched without --repair
         path.write_bytes(snapshot[path])
 
-    def test_non_utf8_report_sidecar_is_corrupt_not_a_crash(self):
-        from pathlib import Path
-
-        from repro.serve.daemon import ServeDaemon, report_file
-
-        request_id = "ab" + "0" * 62
-        path = Path(report_file(request_id))
-        path.parent.mkdir(parents=True)
-        path.write_bytes(b'{"report": 1}\n')
-        ServeDaemon.sidecar_path(request_id).write_bytes(b"\xff\xfe\n")
-        report = fsck_mod.fsck(repair=False)
-        assert report["reports"]["scanned"] == 1
-        assert report["reports"]["corrupt"] == 1
-        assert not fsck_mod.clean(report)
-
     def test_json_object_of_the_previous_schema_is_legacy(self):
         """A schema-7 object (a JSON envelope) is counted ``legacy`` and
         left in place, with and without ``--repair``."""
@@ -490,3 +440,101 @@ class TestFsck:
         assert report["objects"]["repaired"] == 1, report
         assert fsck_mod.clean(report)
         assert path.read_bytes() == clean
+
+
+# ---------------------------------------------------------------------------
+# fsck of stored serve reports
+# ---------------------------------------------------------------------------
+REPORT_REQUEST = {"model": "lstm", "steps": 1}
+
+
+def _serve(request=REPORT_REQUEST):
+    """POST ``request`` to a fresh in-thread daemon; ``(headers, body)``."""
+    handle = start_in_thread(workers=1)
+    try:
+        status, headers, body = post_simulate(handle.host, handle.port, request)
+    finally:
+        handle.stop()
+    assert status == 200, body
+    return headers, body
+
+
+class TestReportFsck:
+    def test_damaged_body_is_repaired_byte_identically(self):
+        headers, body = _serve()
+        request_id = headers["x-repro-request-id"]
+        path = ServeDaemon.report_path(request_id)
+        served = sim_cache.cache_dir() / "serve"
+        assert [p for p in served.rglob("*") if p.is_file()] == [path]
+        clean = path.read_bytes()
+        assert clean.endswith(b"\n" + body)
+        assert sim_cache.extract_meta(clean)["model"] == "lstm"
+
+        damaged = bytearray(clean)
+        damaged[-len(body) // 2] ^= 0x01
+        path.write_bytes(bytes(damaged))
+        report = fsck_mod.fsck(repair=False)
+        assert report["reports"]["scanned"] == 1
+        assert report["reports"]["corrupt"] == 1
+        assert not fsck_mod.clean(report)
+        assert path.read_bytes() == bytes(damaged)
+
+        sim_cache._memory.clear()
+        report = fsck_mod.fsck(repair=True)
+        assert report["reports"]["repaired"] == 1, report
+        assert fsck_mod.clean(report)
+        assert path.read_bytes() == clean
+
+        headers2, body2 = _serve()
+        assert headers2["x-repro-served-from"] == "store"
+        assert body2 == body
+
+    def test_report_without_a_head_is_unrepairable(self):
+        headers, body = _serve()
+        path = ServeDaemon.report_path(headers["x-repro-request-id"])
+        path.write_bytes(b"\xff\xfe\n" + body)  # not even UTF-8
+        report = fsck_mod.fsck(repair=False)
+        assert report["reports"]["corrupt"] == 1
+        report = fsck_mod.fsck(repair=True)
+        assert report["reports"]["unrepairable"] == 1
+        assert not fsck_mod.clean(report)
+        assert not path.exists()  # quarantined, not silently kept
+
+    def test_head_of_another_request_is_unrepairable(self):
+        """Repair rewrites a report only when the request in its head
+        recomputes to the file's own name."""
+        headers, _body = _serve()
+        path = ServeDaemon.report_path(headers["x-repro-request-id"])
+        other = ServeDaemon.report_path("ab" * 32)
+        other.parent.mkdir(parents=True, exist_ok=True)
+        damaged = bytearray(path.read_bytes())
+        damaged[-10] ^= 0x01
+        other.write_bytes(bytes(damaged))
+        report = fsck_mod.fsck(repair=True)
+        assert report["reports"]["scanned"] == 2
+        assert report["reports"]["ok"] == 1
+        assert report["reports"]["unrepairable"] == 1
+        assert not other.exists()
+
+    def test_report_of_the_previous_layout_is_legacy(self):
+        """A report and its digest file under ``serve/reports/<aa>/``
+        (the layout before framed reports) are counted ``legacy`` and
+        left in place, with and without ``--repair``."""
+        old = sim_cache.cache_dir() / "serve" / "reports" / "ab" / (
+            "ab" * 32 + ".json"
+        )
+        old.parent.mkdir(parents=True)
+        old.write_bytes(b'{"report": 1}\n')
+        digest_file = old.with_name(old.name + "." + hashlib.sha256().name)
+        digest_file.write_text(
+            hashlib.sha256(old.read_bytes()).hexdigest() + "\n"
+        )
+        before = {p: p.read_bytes() for p in (old, digest_file)}
+        for repair in (False, True):
+            report = fsck_mod.fsck(repair=repair)
+            assert report["reports"]["legacy"] == 1
+            assert report["reports"]["scanned"] == 0
+            assert report["reports"]["corrupt"] == 0
+            assert fsck_mod.clean(report)
+        assert {p: p.read_bytes() for p in before} == before
+        assert not sim_cache.quarantine_dir().exists()

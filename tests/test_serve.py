@@ -496,11 +496,10 @@ class TestRequestIdMemo:
 
 
 class TestStoreIntegrity:
-    @pytest.mark.parametrize("damaged", ["report", "sidecar"])
-    def test_corrupt_stored_report_is_recomputed_not_served(
-        self, monkeypatch, damaged
-    ):
-        monkeypatch.setenv("REPRO_VERIFY_READS", "always")
+    @pytest.mark.parametrize("damage", ["head", "body", "truncated"])
+    def test_corrupt_stored_report_is_recomputed_not_served(self, damage):
+        """Every store hit checks the report's digest: the *first* read
+        after any damage recomputes."""
         handle = start_in_thread(workers=1)
         try:
             status1, headers1, body1 = post_simulate(
@@ -509,12 +508,18 @@ class TestStoreIntegrity:
             assert status1 == 200
             request_id = headers1["x-repro-request-id"]
             stored = ServeDaemon.report_path(request_id)
-            if damaged == "report":
-                data = bytearray(body1)
-                data[len(data) // 2] ^= 0x01
-                stored.write_bytes(bytes(data))
-            else:  # a sidecar that is not even text
-                ServeDaemon.sidecar_path(request_id).write_bytes(b"\xff\n")
+            served = sim_cache.cache_dir() / "serve"
+            assert [p for p in served.rglob("*") if p.is_file()] == [stored]
+            data = bytearray(stored.read_bytes())
+            head_end = data.index(b"\n")
+            assert bytes(data[head_end + 1 :]) == body1
+            if damage == "head":
+                data[head_end // 2] ^= 0x01
+            elif damage == "body":
+                data[head_end + 1 + len(body1) // 2] ^= 0x01
+            else:
+                del data[-1]
+            stored.write_bytes(bytes(data))
             status2, headers2, body2 = post_simulate(
                 handle.host, handle.port, REQUEST
             )

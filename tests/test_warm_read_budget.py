@@ -6,11 +6,10 @@ the api's memo and the fingerprint from its per-part memos.  Each case
 stores one run, drops the memory tier and counts the Python calls
 (``call`` events under :func:`sys.setprofile`) of one more
 ``api.simulate`` of the same request.  Every disk read checks its
-object's checksum, so the count includes that check
-(``REPRO_VERIFY_READS`` governs only the serve report store, which these
-reads never touch).  Each budget is the count measured when it was
-recorded plus 10%; Python 3.12 and later inline comprehensions, which
-only lowers it.
+object's checksum in :func:`repro.sim.cache.unframe` (the check stored
+serve reports share), so the count includes that check.  Each budget is
+the count measured when it was recorded plus 10%; Python 3.12 and later
+inline comprehensions, which only lowers it.
 
 Two exact checks ride along: such a read builds no ``SystemConfig`` and
 does not encode the ``FaultSpec`` again.
@@ -28,10 +27,11 @@ from repro.sim import cache as sim_cache
 STEPS = 1
 
 #: case -> (model, configuration, fault seed or None, budget in Python
-#: calls per warm read: the count measured on Python 3.11, 59 for both,
-#: plus 10%; with a JSON payload the counts were 69, and before the memos
-#: 149 and 193).  prog-pim derives its config from the default one, so a
-#: build there would construct a ``SystemConfig``.
+#: calls per warm read: 59 for both, measured on Python 3.11, plus 10%;
+#: with the digest check in its own function the counts are 60, with a
+#: JSON payload they were 69, and before the memos 149 and 193).
+#: prog-pim derives its config from the default one, so a build there
+#: would construct a ``SystemConfig``.
 CASES = {
     "zoo": ("lstm", "prog-pim", None, 65),
     "faulted": ("lstm", "hetero-pim", 5, 65),

@@ -17,7 +17,8 @@ directory:
    finish them, and serve each report; an already-served report must
    come back byte-identical from the store;
 4. **graceful drain** — SIGTERM stops the listener, finishes queued
-   work, journals ``complete`` and exits 0.
+   work, journals ``complete`` and exits 0; ``repro cache fsck`` then
+   reads the drained daemon's report store back clean.
 
 Usage: ``PYTHONPATH=src python tools/check_serve.py``
 """
@@ -46,16 +47,20 @@ REQUEST = {"model": "alexnet", "steps": 2}
 CLIENTS = 4
 
 
+def cli_env(cache_dir: Path) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src")
+    env["REPRO_CACHE_DIR"] = str(cache_dir)
+    return env
+
+
 class Daemon:
     """One ``repro serve`` subprocess bound to an ephemeral port."""
 
     def __init__(self, cache_dir: Path, *extra: str):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO / "src")
-        env["REPRO_CACHE_DIR"] = str(cache_dir)
         self.proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0", *extra],
-            env=env,
+            env=cli_env(cache_dir),
             cwd=REPO,
             stderr=subprocess.PIPE,
             text=True,
@@ -83,7 +88,8 @@ class Daemon:
 
 def check_dedup_and_byte_identity(tmp: Path) -> None:
     """Checks 1 + 2 + 4 on one daemon (cold cache)."""
-    daemon = Daemon(tmp / "serve-cache")
+    cache = tmp / "serve-cache"
+    daemon = Daemon(cache)
     try:
         results = [None] * CLIENTS
 
@@ -115,9 +121,6 @@ def check_dedup_and_byte_identity(tmp: Path) -> None:
 
         # byte-identity against the library path, from a separate cache
         report_path = tmp / "direct-report.json"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO / "src")
-        env["REPRO_CACHE_DIR"] = str(tmp / "direct-cache")
         subprocess.run(
             [
                 sys.executable, "-m", "repro", "run", REQUEST["model"],
@@ -125,7 +128,7 @@ def check_dedup_and_byte_identity(tmp: Path) -> None:
                 "--report-out", str(report_path),
             ],
             check=True,
-            env=env,
+            env=cli_env(tmp / "direct-cache"),
             cwd=REPO,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
@@ -143,6 +146,20 @@ def check_dedup_and_byte_identity(tmp: Path) -> None:
     code = daemon.terminate()
     assert code == 0, f"SIGTERM drain exited {code}, want 0"
     print("graceful drain OK: SIGTERM -> exit 0")
+
+    fsck = subprocess.run(
+        [sys.executable, "-m", "repro", "cache", "fsck", "--json"],
+        env=cli_env(cache),
+        cwd=REPO,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    audit = json.loads(fsck.stdout)
+    reports = audit["reports"]
+    assert reports["scanned"] >= 1, f"fsck read no stored report: {audit}"
+    assert reports["corrupt"] == 0 and audit["clean"], f"fsck: {audit}"
+    print(f"store OK: fsck read {reports['scanned']} stored report(s) clean")
 
 
 def check_crash_recovery(tmp: Path) -> None:
