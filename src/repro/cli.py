@@ -589,10 +589,15 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     from .faults import FaultSpec
     from .hardware.hmc import StackGeometry
 
-    baseline = api.simulate(args.model, args.config, args.steps)
+    spec = None
     if args.spec is not None:
-        spec = FaultSpec.from_json(Path(args.spec).read_text())
-    else:
+        try:
+            spec = FaultSpec.from_json(Path(args.spec).read_text())
+        except (ReproError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    baseline = api.simulate(args.model, args.config, args.steps)
+    if spec is None:
         system, _policy = api.resolve_configuration(args.config)
         spec = FaultSpec.generate(
             seed=args.seed,

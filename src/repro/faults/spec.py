@@ -293,4 +293,12 @@ class FaultSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "FaultSpec":
-        return cls.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SimulationError(f"fault spec is not valid JSON: {exc}")
+        if not isinstance(data, dict):
+            raise SimulationError(
+                f"fault spec must be a JSON object, got {type(data).__name__}"
+            )
+        return cls.from_dict(data)

@@ -53,15 +53,18 @@ class Graph:
     _op_order: List[str] = field(default_factory=list)
     _producer: Dict[str, str] = field(default_factory=dict)
     _param_updates: Dict[str, str] = field(default_factory=dict)
-    #: Derived once from the structure above, which ``add_op`` alone
-    #: changes (it drops them); a renamed ``copy.copy`` shares both with
-    #: that structure, as neither depends on the name.
-    _preds: Optional[Dict[str, FrozenSet[str]]] = field(
-        default=None, compare=False, repr=False
+    #: State other modules derive from this graph (its order, signature,
+    #: profiles, selections, trace templates and cost tables), each under
+    #: a key whose first element names the artifact.  Every mutator drops
+    #: it, and copies and pickles start without it.
+    memo: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False
     )
-    _topo: Optional[Tuple[Op, ...]] = field(
-        default=None, compare=False, repr=False
-    )
+
+    def __getstate__(self) -> dict:
+        # pickle, copy.copy and copy.deepcopy: a renamed replica must not
+        # inherit name-dependent state, and a sha256 state cannot pickle
+        return {**self.__dict__, "memo": {}}
 
     # ------------------------------------------------------------------
     # construction
@@ -71,6 +74,7 @@ class Graph:
         if spec.name in self._tensors:
             raise GraphError(f"duplicate tensor {spec.name!r} in graph {self.name!r}")
         self._tensors[spec.name] = spec
+        self.memo = {}
         return spec
 
     def add_op(self, op: Op) -> Op:
@@ -94,7 +98,7 @@ class Graph:
                 )
         self._ops[op.name] = op
         self._op_order.append(op.name)
-        self._preds = self._topo = None
+        self.memo = {}
         for tname in op.outputs:
             self._producer[tname] = op.name
         param = op.attrs.get("param_written")
@@ -147,17 +151,18 @@ class Graph:
 
     def predecessor_sets(self) -> Mapping[str, FrozenSet[str]]:
         """:meth:`predecessors` of every op, derived once per structure."""
-        if self._preds is None:
+        preds = self.memo.get("preds")
+        if preds is None:
             producer = self._producer
-            preds: Dict[str, FrozenSet[str]] = {}
+            preds = {}
             for name, op in self._ops.items():
                 found = {producer[t] for t in op.inputs if t in producer}
                 for dep in map(str, op.attrs.get("control_deps", ())):
                     self.op(dep)
                     found.add(dep)
                 preds[name] = frozenset(found)
-            self._preds = preds
-        return self._preds
+            self.memo["preds"] = preds
+        return preds
 
     def successors(self, op_name: str) -> Set[str]:
         """Ops that consume this op's outputs."""
@@ -190,9 +195,10 @@ class Graph:
         """Ops in dependency order; raises :class:`GraphError` on cycles.
 
         Derived once per structure (see :meth:`predecessor_sets`)."""
-        if self._topo is None:
-            self._topo = self._derive_topological_order()
-        return list(self._topo)
+        topo = self.memo.get("topo")
+        if topo is None:
+            topo = self.memo["topo"] = self._derive_topological_order()
+        return list(topo)
 
     def _derive_topological_order(self) -> Tuple[Op, ...]:
         indeg: Dict[str, int] = {name: 0 for name in self._ops}

@@ -1290,7 +1290,10 @@ class GraphBuilder:
             )
             grads[tensor] = combined.name
 
-        for record in reversed(self._tape):
+        # popping the tape breaks its closures' cycle through the builder,
+        # so a dropped graph is freed by reference counting
+        while self._tape:
+            record = self._tape.pop()
             g = grads.get(record.output)
             if g is None:
                 continue  # branch not on any loss path

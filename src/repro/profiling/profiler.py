@@ -9,7 +9,6 @@ accesses per operation, then aggregate by operation type.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -142,21 +141,14 @@ class WorkloadProfiler:
         ]
 
 
-#: Profiles keyed by (graph identity, CPU config).  ``CPUConfig`` is a
-#: frozen, dict-free dataclass, hence hashable; profiling is a pure
-#: function of (graph, cpu config), so every policy ``prepare()`` across a
-#: figure sweep shares one characterization per pair.  Entries evict with
-#: the graph.
-_profile_cache: Dict[Tuple[int, CPUConfig], WorkloadProfile] = {}
-
-
 def profile_workload(graph: Graph, config: CPUConfig) -> WorkloadProfile:
-    """Memoized :meth:`WorkloadProfiler.profile` for ``graph`` under
-    ``config``."""
-    key = (id(graph), config)
-    profile = _profile_cache.get(key)
+    """:meth:`WorkloadProfiler.profile` for ``graph`` under ``config``,
+    memoized on the graph.  ``CPUConfig`` is a frozen, dict-free
+    dataclass, hence hashable; profiling is a pure function of (graph, cpu
+    config), so every policy ``prepare()`` across a figure sweep shares
+    one characterization per pair."""
+    key = ("profile", config)
+    profile = graph.memo.get(key)
     if profile is None:
-        profile = WorkloadProfiler(config).profile(graph)
-        _profile_cache[key] = profile
-        weakref.finalize(graph, _profile_cache.pop, key, None)
+        profile = graph.memo[key] = WorkloadProfiler(config).profile(graph)
     return profile

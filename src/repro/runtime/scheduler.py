@@ -24,7 +24,7 @@ from ..nn.graph import Graph
 from ..nn.ops import OffloadClass, Op
 from ..profiling.profiler import profile_workload
 from ..sim.policy import SchedulingPolicy
-from .selection import SelectionResult, select_candidates_cached
+from .selection import SelectionResult, select_candidates
 
 
 class HeteroPimPolicy(SchedulingPolicy):
@@ -63,14 +63,18 @@ class HeteroPimPolicy(SchedulingPolicy):
         """Step-1 profiling on the CPU followed by candidate selection.
 
         Both stages are pure functions of (graph, cpu config, coverage)
-        and run through process-wide memoizers, so a sweep re-preparing
-        fresh policy instances over the same workload pays for one
-        characterization.
+        and are memoized on the graph (:attr:`Graph.memo`, which every
+        mutator drops), so a sweep re-preparing fresh policy instances
+        over the same workload pays for one characterization.
         """
-        profile = profile_workload(graph, config.cpu)
-        self.selection = select_candidates_cached(
-            profile, coverage=config.runtime.offload_coverage
-        )
+        coverage = config.runtime.offload_coverage
+        key = ("selection", config.cpu, coverage)
+        selection = graph.memo.get(key)
+        if selection is None:
+            selection = graph.memo[key] = select_candidates(
+                profile_workload(graph, config.cpu), coverage
+            )
+        self.selection = selection
         if self._cpu_slots_override is None:
             self.cpu_slots = config.runtime.cpu_slots
             self.cpu_slots = max(1, self.cpu_slots)

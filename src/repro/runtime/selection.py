@@ -15,9 +15,8 @@ time-consuming and memory-intensive — the ones worth moving into memory.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple
+from typing import FrozenSet, List, Tuple
 
 from ..errors import SchedulingError
 from ..profiling.profiler import WorkloadProfile
@@ -145,22 +144,3 @@ def select_candidates(
         target_coverage=coverage,
     )
 
-
-#: Selections keyed by (profile identity, coverage): selection is a pure
-#: function of its inputs and ``WorkloadProfile``s are themselves memoized
-#: per (graph, cpu config), so a figure sweep runs the ranking once per
-#: distinct pair.  Entries evict with the profile object.
-_selection_cache: Dict[Tuple[int, float], SelectionResult] = {}
-
-
-def select_candidates_cached(
-    profile: WorkloadProfile, coverage: float = 0.90
-) -> SelectionResult:
-    """Memoized :func:`select_candidates` (same result object)."""
-    key = (id(profile), coverage)
-    result = _selection_cache.get(key)
-    if result is None:
-        result = select_candidates(profile, coverage)
-        _selection_cache[key] = result
-        weakref.finalize(profile, _selection_cache.pop, key, None)
-    return result

@@ -458,22 +458,17 @@ def graph_signature(graph: Graph):
     )
 
 
-#: sha256 state fed with the encoded graph signature, per graph object
-#: (graphs are immutable once simulated; entries evict with the graph, so
-#: ids can't go stale).  The signature (up to hundreds of KB) leads every
-#: fingerprint, which hashes a copy of this state plus its own short tail.
-_graph_sig_cache: Dict[int, "hashlib._Hash"] = {}
-
-
 def _graph_signature_hash(graph: Graph) -> "hashlib._Hash":
-    key = id(graph)
-    state = _graph_sig_cache.get(key)
+    """sha256 state fed with the encoded graph signature, memoized on the
+    graph.  The signature (up to hundreds of KB) leads every fingerprint,
+    which hashes a copy of this state plus its own short tail."""
+    state = graph.memo.get("signature")
     if state is None:
         parts = []
         _encode(graph_signature(graph), parts)
-        state = hashlib.sha256("".join(parts).encode())
-        _graph_sig_cache[key] = state
-        weakref.finalize(graph, _graph_sig_cache.pop, key, None)
+        state = graph.memo["signature"] = hashlib.sha256(
+            "".join(parts).encode()
+        )
     return state
 
 

@@ -31,17 +31,16 @@ formula is written once.  The CPU lane's roofline is the profiler's
 executors and on task placements, never on the table, so a table is
 immutable once built and shared by clean and faulted runs alike.
 
-Scoping (cross-run-leakage fix): tables are keyed by graph identity plus
-the *full* behavioural fingerprint of the run — ``policy.signature()``
-(taken after ``prepare``) and the canonical encoding of the entire
+Scoping (cross-run-leakage fix): a table is memoized on its graph
+(:attr:`repro.nn.graph.Graph.memo`, which every mutator drops) under the
+*full* behavioural fingerprint of the run — ``policy.signature()`` (taken
+after ``prepare``) and the canonical encoding of the entire
 ``SystemConfig`` — so two runs differing only in frequency scale, PIM
-counts or any other knob can never share a table.  Entries are evicted
-when their graph is garbage-collected.
+counts or any other knob can never share a table.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -55,11 +54,6 @@ from ..pimcl.codegen import generate_binaries
 from ..pimcl.kernel import BinaryKind, PhaseKind
 from .cache import config_signature
 from .policy import SchedulingPolicy
-
-#: Tables per live graph: ``{id(graph): {(policy_sig, config_sig): table}}``.
-#: The outer entry dies with the graph (weakref finalizer), so a recycled
-#: ``id()`` can never surface a stale table.
-_TABLES: Dict[int, Dict[tuple, "CostTable"]] = {}
 
 #: The placements a table estimates every op on, in :attr:`CostRow.est`
 #: order.
@@ -347,16 +341,9 @@ def _build(
 def cost_table(
     graph: Graph, policy: SchedulingPolicy, config: SystemConfig
 ) -> CostTable:
-    """Memoized table for (graph, prepared policy, config)."""
-    gid = id(graph)
-    per_graph = _TABLES.get(gid)
-    if per_graph is None:
-        per_graph = {}
-        _TABLES[gid] = per_graph
-        weakref.finalize(graph, _TABLES.pop, gid, None)
-    key = (policy.signature(), config_signature(config))
-    table = per_graph.get(key)
+    """Table for (graph, prepared policy, config), memoized on the graph."""
+    key = ("table", policy.signature(), config_signature(config))
+    table = graph.memo.get(key)
     if table is None:
-        table = _build(graph, policy, config)
-        per_graph[key] = table
+        table = graph.memo[key] = _build(graph, policy, config)
     return table

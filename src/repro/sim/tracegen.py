@@ -17,7 +17,6 @@ with no uid lookups.  :func:`generate_trace` expands a template into
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -26,11 +25,6 @@ from ..nn.graph import Graph
 from ..nn.ops import Op
 from ..pimcl.codegen import generate_binaries
 from ..pimcl.kernel import Kernel
-
-#: Templates by (graph identity, steps).  A template holds the graph's ops,
-#: never the graph, and is evicted when the graph is garbage-collected, so
-#: a recycled ``id()`` can never surface a stale one.
-_templates: Dict[Tuple[int, int], "TraceTemplate"] = {}
 
 
 def task_uid(step: int, op_name: str) -> str:
@@ -176,19 +170,14 @@ class TraceTemplate:
 
 
 def trace_template(graph: Graph, steps: int) -> TraceTemplate:
-    """The memoized :class:`TraceTemplate` of ``graph`` over ``steps``.
-
-    The memo assumes the graph is not mutated after its first simulation;
-    graphs are assembled by the model builders / ``merge_graphs`` before
-    any trace is generated, so this holds throughout the code base.
-    """
+    """The :class:`TraceTemplate` of ``graph`` over ``steps``, memoized on
+    the graph.  A template holds the graph's ops, never the graph."""
     if steps < 1:
         raise SimulationError(f"need at least one step, got {steps}")
-    key = (id(graph), steps)
-    template = _templates.get(key)
+    key = ("template", steps)
+    template = graph.memo.get(key)
     if template is None:
-        template = _templates[key] = TraceTemplate(graph, steps)
-        weakref.finalize(graph, _templates.pop, key, None)
+        template = graph.memo[key] = TraceTemplate(graph, steps)
     return template
 
 

@@ -12,14 +12,18 @@ from dataclasses import replace
 
 import pytest
 
+from repro import api
 from repro.baselines import build_configuration
 from repro.config import default_config
 from repro.faults import FaultSpec
 from repro.nn.models import build_model
+from repro.nn.ops import Op, OpCost
+from repro.nn.tensor import TensorSpec
 from repro.runtime.scheduler import HeteroPimPolicy, MixedWorkloadPolicy
 from repro.sim import cache as sim_cache
 from repro.sim.optable import cost_table
 from repro.sim.simulation import Simulation
+from repro.sim.tracegen import trace_template
 
 
 def _prepared(config_name="hetero-pim", base=None):
@@ -238,3 +242,52 @@ class TestNoCrossRunLeakage:
         again = Simulation(graph, policy, config=config, steps=1).run()
         assert cost_table(graph, policy, config) is table
         assert again.to_json() == clean.to_json()
+
+
+def _grow(graph):
+    """Append one large MatMul consuming the graph's last output."""
+    n = 2048
+    graph.add_tensor(TensorSpec("extra/out", (n, n)))
+    graph.add_op(
+        Op(
+            "extra/MatMul",
+            "MatMul",
+            inputs=(graph.ops[-1].outputs[0],),
+            outputs=("extra/out",),
+            cost=OpCost(
+                muls=n ** 3, adds=n ** 3, bytes_in=8 * n * n,
+                bytes_out=4 * n * n, parallelism=n,
+            ),
+        )
+    )
+    return graph
+
+
+class TestMutatedGraph:
+    """A graph mutated after it was simulated re-derives everything: its
+    fingerprint, trace template and result match a fresh identical
+    build, never the pre-mutation run's."""
+
+    def test_mutation_drops_every_derived_artifact(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        graph = build_model("alexnet")
+        config, policy = build_configuration("hetero-pim")
+        before = api.simulate(graph, "hetero-pim", steps=1).result
+        policy.prepare(graph, config)
+        stale_fp = sim_cache.run_fingerprint(graph, policy, config)
+
+        _grow(graph)
+        fresh = _grow(build_model("alexnet"))
+        policy.prepare(graph, config)
+        fp = sim_cache.run_fingerprint(graph, policy, config)
+        policy.prepare(fresh, config)
+        assert fp != stale_fp
+        assert fp == sim_cache.run_fingerprint(fresh, policy, config)
+        uids = trace_template(graph, 1).uids
+        assert len(uids) == graph.num_ops and "s0/extra/MatMul" in uids
+
+        after = api.simulate(graph, "hetero-pim", steps=1).result
+        expected = api.simulate(fresh, "hetero-pim", steps=1).result
+        assert after.makespan_s != before.makespan_s
+        assert after.to_json() == expected.to_json()

@@ -72,6 +72,36 @@ class TestRun:
         assert "device busy" in capsys.readouterr().out
 
 
+class TestFaults:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{not json", "not valid JSON"),
+            ('[{"kind": "bank-failure"}]', "must be a JSON object"),
+            ('{"events": [{"kind": "meteor", "time_s": 0}]}',
+             "unknown fault kind 'meteor'"),
+            (None, "No such file"),
+        ],
+        ids=["invalid-json", "list", "unknown-kind", "missing-file"],
+    )
+    def test_bad_spec_is_one_error_line(
+        self, text, message, tmp_path, monkeypatch, capsys
+    ):
+        from repro import api
+
+        def no_baseline(*args, **kwargs):
+            pytest.fail("simulated before the spec was read")
+
+        monkeypatch.setattr(api, "simulate", no_baseline)
+        spec = tmp_path / "spec.json"
+        if text is not None:
+            spec.write_text(text)
+        assert main(["faults", "lstm", "--spec", str(spec)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+
+
 class TestProfile:
     def test_profile(self, capsys):
         assert main(["profile", "dcgan", "--top", "3"]) == 0

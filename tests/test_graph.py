@@ -30,6 +30,29 @@ def tiny_graph() -> Graph:
     return g
 
 
+def _hetero():
+    from repro.baselines import build_configuration
+
+    return build_configuration("hetero-pim")
+
+
+def _fingerprint(g: Graph) -> str:
+    from repro.sim.cache import run_fingerprint
+
+    config, policy = _hetero()
+    policy.prepare(g, config)
+    return run_fingerprint(g, policy, config)
+
+
+def _simulated_and_fingerprinted(g: Graph) -> Graph:
+    from repro.sim.simulation import Simulation
+
+    config, policy = _hetero()
+    Simulation(g, policy, config=config, steps=2).run()
+    _fingerprint(g)
+    return g
+
+
 class TestConstruction:
     def test_duplicate_tensor_rejected(self):
         g = Graph(name="g")
@@ -156,6 +179,29 @@ class TestTopologicalOrder:
         assert replica.predecessors("b") == {"a"}
         merged = merge_graphs("both", [base, replica])
         assert merged.predecessors("tiny#1::b") == {"tiny#1::a"}
+
+    def test_pickle_drops_the_memo(self):
+        import pickle
+
+        g = _simulated_and_fingerprinted(tiny_graph())
+        assert g.memo
+        clone = pickle.loads(pickle.dumps(g))
+        assert clone.memo == {} and clone == g
+        assert g.memo
+
+    def test_renamed_copy_derives_its_own_state(self):
+        import copy
+
+        from repro.profiling.profiler import profile_workload
+
+        base = _simulated_and_fingerprinted(tiny_graph())
+        replica = copy.copy(base)
+        replica.name = "tiny#1"
+        assert replica.memo == {}
+        assert _fingerprint(replica) != _fingerprint(base)
+        cpu = _hetero()[0].cpu
+        assert profile_workload(base, cpu).model_name == "tiny"
+        assert profile_workload(replica, cpu).model_name == "tiny#1"
 
     def test_resident_bytes_excludes_gradients(self):
         g = Graph(name="g")

@@ -9,6 +9,7 @@ collector off, drops it and checks that a collection finds nothing.
 
 import functools
 import gc
+import weakref
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.faults.spec import DramDerate, ProgPimLoss, UnitLoss
 from repro.nn.graph import merge_graphs
 from repro.nn.models import build_model
 from repro.runtime.scheduler import MixedWorkloadPolicy
+from repro.sim.cache import run_fingerprint
 from repro.sim.simulation import Simulation
 
 STEPS = 2
@@ -112,6 +114,32 @@ def test_run_leaves_no_cyclic_garbage(case):
         sim = build()
         sim.run()
         del sim
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_dropped_graph_leaves_no_cyclic_garbage():
+    """What a run memoizes on its graph (order, profile, selection,
+    template, cost table, signature) forms no cycle back to the graph:
+    dropping the graph frees it all by reference counting."""
+
+    def simulate_and_fingerprint():
+        graph = build_model("alexnet")
+        config, policy = build_configuration("hetero-pim")
+        Simulation(graph, policy, config=config, steps=STEPS).run()
+        run_fingerprint(graph, policy, config)
+        return graph
+
+    simulate_and_fingerprint()  # warm up lazy imports and process memos
+    gc.collect()
+    gc.disable()
+    try:
+        graph = simulate_and_fingerprint()
+        assert graph.memo
+        ref = weakref.ref(graph)
+        del graph
+        assert ref() is None
         assert gc.collect() == 0
     finally:
         gc.enable()
