@@ -20,9 +20,10 @@ be killed deterministically from the outside.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Tuple
 
+from ..decode import decode
 from ..errors import ReproError
 
 #: Every fault kind the injector knows how to apply.
@@ -96,12 +97,11 @@ class ChaosRule:
             f"(allowed: {', '.join(_SITE_KINDS[self.site])})",
         )
         _require(
-            isinstance(self.at, tuple)
-            and all(isinstance(n, int) and n >= 0 for n in self.at),
+            all(n >= 0 for n in self.at),
             f"'at' must be non-negative occurrence indices, got {self.at!r}",
         )
         _require(
-            isinstance(self.one_in, int) and self.one_in >= 0,
+            self.one_in >= 0,
             f"'one_in' must be a non-negative integer, got {self.one_in!r}",
         )
         _require(
@@ -109,11 +109,11 @@ class ChaosRule:
             "rule must name 'at' occurrences and/or a 'one_in' rate",
         )
         _require(
-            isinstance(self.limit, int) and self.limit >= 0,
+            self.limit >= 0,
             f"'limit' must be a non-negative integer, got {self.limit!r}",
         )
         _require(
-            isinstance(self.delay_s, (int, float)) and self.delay_s >= 0,
+            self.delay_s >= 0,
             f"'delay_s' must be a non-negative number, got {self.delay_s!r}",
         )
 
@@ -128,49 +128,13 @@ class ChaosRule:
             "delay_s": self.delay_s,
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ChaosRule":
-        _require(isinstance(data, dict), "chaos rule must be a JSON object")
-        unknown = sorted(
-            set(data)
-            - {"site", "kind", "at", "one_in", "limit", "once", "delay_s"}
-        )
-        _require(not unknown, f"unknown chaos rule field(s): {', '.join(unknown)}")
-        at = data.get("at", ())
-        _require(
-            isinstance(at, (list, tuple)),
-            f"'at' must be a list of occurrence indices, got {at!r}",
-        )
-        once = data.get("once", False)
-        _require(isinstance(once, bool), f"'once' must be a boolean, got {once!r}")
-        return cls(
-            site=data.get("site", ""),
-            kind=data.get("kind", ""),
-            at=tuple(at),
-            one_in=data.get("one_in", 0),
-            limit=data.get("limit", 0),
-            once=once,
-            delay_s=data.get("delay_s", 0.05),
-        )
-
 
 @dataclass(frozen=True)
 class ChaosSpec:
     """A seed plus rules — one deterministic chaos experiment."""
 
     seed: int = 0
-    rules: Tuple[ChaosRule, ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        _require(
-            isinstance(self.seed, int) and not isinstance(self.seed, bool),
-            f"'seed' must be an integer, got {self.seed!r}",
-        )
-        _require(
-            isinstance(self.rules, tuple)
-            and all(isinstance(rule, ChaosRule) for rule in self.rules),
-            "'rules' must be a tuple of ChaosRule",
-        )
+    rules: Tuple[ChaosRule, ...] = ()
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -182,25 +146,14 @@ class ChaosSpec:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "ChaosSpec":
-        _require(isinstance(data, dict), "chaos spec must be a JSON object")
-        unknown = sorted(set(data) - {"seed", "rules"})
-        _require(not unknown, f"unknown chaos spec field(s): {', '.join(unknown)}")
-        rules = data.get("rules", [])
-        _require(
-            isinstance(rules, (list, tuple)),
-            f"'rules' must be a list, got {rules!r}",
-        )
-        return cls(
-            seed=data.get("seed", 0),
-            rules=tuple(ChaosRule.from_dict(rule) for rule in rules),
-        )
+    def from_dict(cls, data: object) -> "ChaosSpec":
+        return decode(cls, data, ChaosSpecError, "chaos spec")
 
     @classmethod
     def from_json(cls, text: str) -> "ChaosSpec":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ChaosSpecError(f"chaos spec is not valid JSON: {exc}")
         return cls.from_dict(data)
 

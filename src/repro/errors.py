@@ -206,7 +206,3 @@ class ProtocolError(ServeError):
     def __init__(self, message: str, status: int = 400):
         super().__init__(message)
         self.status = status
-
-
-class QuotaExceeded(ServeError):
-    """Raised when a tenant's token bucket has no capacity left."""

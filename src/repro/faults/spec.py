@@ -24,16 +24,19 @@ aware placement, offload re-selection):
   (bandwidth multiplier on streaming phases).
 
 All parameters are validated eagerly so a malformed spec fails at
-construction, not mid-simulation.
+construction, not mid-simulation.  A spec read as JSON goes through
+:func:`repro.decode.decode`, which rejects unknown fields, missing
+fields and values of the wrong type before any event is built.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass, fields
-from typing import ClassVar, Dict, Tuple, Type, Union
+from dataclasses import asdict, dataclass
+from typing import ClassVar, Dict, Tuple, Type, Union, get_args
 
+from ..decode import decode
 from ..errors import SimulationError
 
 #: Thermal zones a :class:`ThermalThrottle` may target (see
@@ -134,11 +137,8 @@ class DramDerate:
 
 FaultEvent = Union[BankFailure, UnitLoss, ThermalThrottle, ProgPimLoss, DramDerate]
 
-#: Registry used by deserialization (kind tag -> event class).
-FAULT_KINDS: Dict[str, Type] = {
-    cls.kind: cls
-    for cls in (BankFailure, UnitLoss, ThermalThrottle, ProgPimLoss, DramDerate)
-}
+#: Every fault event class by its kind tag.
+FAULT_KINDS: Dict[str, Type] = {cls.kind: cls for cls in get_args(FaultEvent)}
 
 
 def _event_sort_key(event: FaultEvent) -> Tuple[float, str, str]:
@@ -263,28 +263,8 @@ class FaultSpec:
         }
 
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FaultSpec":
-        events = []
-        for entry in data.get("events", ()):
-            payload = dict(entry)
-            kind = payload.pop("kind", None)
-            event_cls = FAULT_KINDS.get(kind)
-            if event_cls is None:
-                raise SimulationError(f"unknown fault kind {kind!r}")
-            names = {f.name for f in fields(event_cls)}
-            unknown = set(payload) - names
-            if unknown:
-                raise SimulationError(
-                    f"unknown fields {sorted(unknown)} for fault kind {kind!r}"
-                )
-            events.append(event_cls(**payload))
-        return cls(
-            events=tuple(events),
-            seed=data.get("seed", 0),
-            max_retries=data.get("max_retries", 3),
-            retry_backoff_s=data.get("retry_backoff_s", 50e-6),
-            retry_backoff_cap_s=data.get("retry_backoff_cap_s", 400e-6),
-        )
+    def from_dict(cls, data: object) -> "FaultSpec":
+        return decode(cls, data, SimulationError, "fault spec")
 
     def to_json(self, indent=None) -> str:
         from ..sim.results import canonical_dumps
@@ -295,10 +275,6 @@ class FaultSpec:
     def from_json(cls, text: str) -> "FaultSpec":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise SimulationError(f"fault spec is not valid JSON: {exc}")
-        if not isinstance(data, dict):
-            raise SimulationError(
-                f"fault spec must be a JSON object, got {type(data).__name__}"
-            )
         return cls.from_dict(data)

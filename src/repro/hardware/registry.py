@@ -19,13 +19,6 @@ Registration::
         name = "my-backend"
         ...
 
-Third-party packages can ship backends via the ``repro.backends``
-entry-point group; entries are discovered lazily, on the first listing,
-unregistration or lookup of a name no builtin has, and must resolve to
-a :class:`HardwareBackend` subclass or instance.  Discovery failures
-are reported as warnings, never import errors — a broken plugin must
-not take down the simulator.
-
 Every built ``SystemConfig`` is tagged with its backend name
 (``SystemConfig.backend``), which joins the simulation-cache fingerprint,
 the cost-table key and the surrogate calibration key: two backends with
@@ -35,7 +28,6 @@ numerically identical sub-configs can never share cached state.
 from __future__ import annotations
 
 import threading
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -46,9 +38,6 @@ from ..errors import BackendError, DuplicateBackendError, UnknownBackendError
 
 if TYPE_CHECKING:  # policy lives under repro.sim; keep the import graph flat
     from ..sim.policy import SchedulingPolicy
-
-#: Entry-point group scanned for third-party backends.
-ENTRY_POINT_GROUP = "repro.backends"
 
 
 @dataclass(frozen=True)
@@ -164,7 +153,6 @@ class HardwareBackend(ABC):
 _REGISTRY: Dict[str, HardwareBackend] = {}
 _load_lock = threading.Lock()
 _builtins_loaded = False
-_entry_points_loaded = False
 
 
 def register(
@@ -199,7 +187,7 @@ def register(
 
 def unregister(name: str) -> None:
     """Remove a registered backend (tests, plugin reloads)."""
-    _ensure_loaded()
+    _ensure_builtins()
     if name not in _REGISTRY:
         raise UnknownBackendError(name, available=list_backends())
     del _REGISTRY[name]
@@ -208,24 +196,19 @@ def unregister(name: str) -> None:
 def get(name: str) -> HardwareBackend:
     """The registered backend called ``name``.
 
-    A builtin (or already registered) name resolves without scanning the
-    installed packages' entry points; only a name nobody registered yet
-    triggers that scan.  Raises :class:`~repro.errors.UnknownBackendError`
-    carrying the registered names so callers (the CLI) can print them.
+    Raises :class:`~repro.errors.UnknownBackendError` carrying the
+    registered names so callers (the CLI) can print them.
     """
     _ensure_builtins()
     backend = _REGISTRY.get(name)
     if backend is None:
-        _ensure_loaded()
-        backend = _REGISTRY.get(name)
-        if backend is None:
-            raise UnknownBackendError(name, available=list_backends())
+        raise UnknownBackendError(name, available=list_backends())
     return backend
 
 
 def list_backends() -> Tuple[str, ...]:
     """Registered backend names, sorted."""
-    _ensure_loaded()
+    _ensure_builtins()
     return tuple(sorted(_REGISTRY))
 
 
@@ -254,7 +237,7 @@ def _ensure_builtins() -> None:
     """Load the builtin backends, once.
 
     Thread-safe: the serve daemon fingerprints requests on worker
-    threads, so first touch can be concurrent.  The flags flip only
+    threads, so first touch can be concurrent.  The flag flips only
     *after* registration completes — a reader that grabs the lock next
     never observes a half-populated registry.
     """
@@ -266,47 +249,3 @@ def _ensure_builtins() -> None:
             from . import backends  # noqa: F401  (registers on import)
 
             _builtins_loaded = True
-
-
-def _ensure_loaded() -> None:
-    """Load the builtin backends, then third-party entry points, once.
-
-    Scanning the entry points reads every installed distribution's
-    metadata (tens of milliseconds), so only the calls that need the
-    complete registry come here.
-    """
-    global _entry_points_loaded
-    _ensure_builtins()
-    if _entry_points_loaded:
-        return
-    with _load_lock:
-        if not _entry_points_loaded:
-            _load_entry_points()
-            _entry_points_loaded = True
-
-
-def _load_entry_points() -> None:
-    """Discover third-party backends from the ``repro.backends`` group.
-
-    Tolerant by design: a plugin that fails to import, returns the wrong
-    type, or collides with an existing name produces one warning and is
-    skipped — the builtin registry must stay usable regardless.
-    """
-    try:
-        from importlib.metadata import entry_points
-    except ImportError:  # pragma: no cover - 3.8+aren't supported anyway
-        return
-    try:
-        group = entry_points(group=ENTRY_POINT_GROUP)
-    except TypeError:  # pragma: no cover - pre-3.10 dict API
-        group = entry_points().get(ENTRY_POINT_GROUP, ())
-    for entry in group:
-        try:
-            register(entry.load())
-        except Exception as exc:  # noqa: BLE001 - plugin isolation
-            warnings.warn(
-                f"skipping hardware-backend entry point {entry.name!r}: "
-                f"{exc}",
-                RuntimeWarning,
-                stacklevel=2,
-            )

@@ -1,8 +1,10 @@
 """The serving contract: request schema and JSON helpers.
 
 ``POST /v1/simulate`` accepts a JSON object with the fields of
-:class:`SimulateRequest`; everything else in the body is rejected rather
-than silently ignored, so client typos (``"modle"``) surface as 400s.
+:class:`SimulateRequest`.  The body goes through
+:func:`repro.decode.decode`, which rejects unknown fields, missing fields
+and values of the wrong type rather than silently ignoring them, so
+client typos (``"modle"``) surface as 400s.
 Validation happens *before* a request is admitted, queued or charged
 against a tenant quota — a malformed request never consumes capacity.
 """
@@ -10,9 +12,10 @@ against a tenant quota — a malformed request never consumes capacity.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, Optional, Tuple
 
+from ..decode import decode
 from ..errors import ProtocolError
 
 #: Protocol version tag answered in every endpoint's envelope.
@@ -26,19 +29,6 @@ DEFAULT_PRIORITY = 100
 
 #: Header carrying the tenant identity (body field wins when both given).
 TENANT_HEADER = "x-repro-tenant"
-
-_ALLOWED_FIELDS = {
-    "model",
-    "config",
-    "backend",
-    "steps",
-    "batch_size",
-    "frequency_scale",
-    "surrogate",
-    "tenant",
-    "priority",
-    "wait",
-}
 
 
 @dataclass(frozen=True)
@@ -88,9 +78,13 @@ class SimulateRequest:
         return asdict(self)
 
 
+def _error(message: str) -> ProtocolError:
+    return ProtocolError(message, status=400)
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
-        raise ProtocolError(message, status=400)
+        raise _error(message)
 
 
 def parse_simulate_request(
@@ -104,15 +98,8 @@ def parse_simulate_request(
     """
     try:
         data = json.loads(body.decode("utf-8") or "{}")
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ProtocolError(f"body is not valid JSON: {exc}", status=400)
-    _require(isinstance(data, dict), "body must be a JSON object")
-    unknown = sorted(set(data) - _ALLOWED_FIELDS)
-    _require(
-        not unknown,
-        f"unknown field(s) {', '.join(unknown)} "
-        f"(allowed: {', '.join(sorted(_ALLOWED_FIELDS))})",
-    )
     return build_simulate_request(data, headers or {})
 
 
@@ -121,97 +108,53 @@ def build_simulate_request(
 ) -> SimulateRequest:
     """Validate an already-parsed request mapping (journal recovery path
     shares this with the HTTP path so both enforce one contract)."""
-    from ..api import list_backends, list_configurations
+    from ..api import DEFAULT_BACKEND, list_backends, list_configurations
     from ..nn.models import available_models
 
-    model = data.get("model")
-    _require(isinstance(model, str) and bool(model), "missing field 'model'")
+    request = decode(SimulateRequest, data, _error, "request")
+    if headers.get(TENANT_HEADER) and "tenant" not in data:
+        request = replace(request, tenant=headers[TENANT_HEADER])
+
     models = available_models()
     _require(
-        model in models,
-        f"unknown model {model!r} (available: {', '.join(models)})",
+        request.model in models,
+        f"unknown model {request.model!r} (available: {', '.join(models)})",
     )
-
-    backend = data.get("backend")
-    if backend is not None:
-        _require(isinstance(backend, str), "'backend' must be a string")
+    if request.backend is not None:
         backends = list_backends()
         _require(
-            backend in backends,
-            f"unknown backend {backend!r} "
+            request.backend in backends,
+            f"unknown backend {request.backend!r} "
             f"(registered: {', '.join(backends)})",
         )
-    config = data.get("config")
-    if config is not None:
-        _require(isinstance(config, str), "'config' must be a string")
-        effective_backend = backend if backend is not None else None
-        from ..api import DEFAULT_BACKEND
-
-        configurations = list_configurations(
-            effective_backend if effective_backend else DEFAULT_BACKEND
-        )
+    backend = request.backend or DEFAULT_BACKEND
+    if request.config is not None:
+        configurations = list_configurations(backend)
         _require(
-            config in configurations,
-            f"unknown configuration {config!r} for backend "
-            f"{effective_backend or DEFAULT_BACKEND} "
+            request.config in configurations,
+            f"unknown configuration {request.config!r} for backend {backend} "
             f"(available: {', '.join(configurations)})",
         )
-
-    steps = data.get("steps", 3)
     _require(
-        isinstance(steps, int) and not isinstance(steps, bool) and steps >= 1,
-        f"'steps' must be an integer >= 1, got {steps!r}",
+        request.steps >= 1,
+        f"'steps' must be an integer >= 1, got {request.steps!r}",
     )
-    batch_size = data.get("batch_size")
-    if batch_size is not None:
-        _require(
-            isinstance(batch_size, int)
-            and not isinstance(batch_size, bool)
-            and batch_size >= 1,
-            f"'batch_size' must be an integer >= 1, got {batch_size!r}",
-        )
-    frequency_scale = data.get("frequency_scale", 1.0)
     _require(
-        isinstance(frequency_scale, (int, float))
-        and not isinstance(frequency_scale, bool)
-        and frequency_scale > 0,
+        request.batch_size is None or request.batch_size >= 1,
+        f"'batch_size' must be an integer >= 1, got {request.batch_size!r}",
+    )
+    _require(
+        request.frequency_scale > 0,
         f"'frequency_scale' must be a positive number, "
-        f"got {frequency_scale!r}",
+        f"got {request.frequency_scale!r}",
     )
-    surrogate = data.get("surrogate", False)
     _require(
-        isinstance(surrogate, bool),
-        f"'surrogate' must be a boolean, got {surrogate!r}",
+        bool(request.tenant)
+        and "/" not in request.tenant
+        and not request.tenant.startswith("."),
+        f"invalid tenant {request.tenant!r}",
     )
-    wait = data.get("wait", True)
-    _require(isinstance(wait, bool), f"'wait' must be a boolean, got {wait!r}")
-    priority = data.get("priority", DEFAULT_PRIORITY)
-    _require(
-        isinstance(priority, int) and not isinstance(priority, bool),
-        f"'priority' must be an integer, got {priority!r}",
-    )
-
-    tenant = data.get("tenant", headers.get(TENANT_HEADER) or DEFAULT_TENANT)
-    _require(
-        isinstance(tenant, str)
-        and bool(tenant)
-        and "/" not in tenant
-        and not tenant.startswith("."),
-        f"invalid tenant {tenant!r}",
-    )
-
-    return SimulateRequest(
-        model=model,
-        config=config,
-        backend=backend,
-        steps=steps,
-        batch_size=batch_size,
-        frequency_scale=float(frequency_scale),
-        surrogate=surrogate,
-        tenant=tenant,
-        priority=priority,
-        wait=wait,
-    )
+    return request
 
 
 def error_body(status: int, message: str) -> bytes:

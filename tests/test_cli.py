@@ -81,8 +81,23 @@ class TestFaults:
             ('{"events": [{"kind": "meteor", "time_s": 0}]}',
              "unknown fault kind 'meteor'"),
             (None, "No such file"),
+            ('{"events": [{"kind": "bank-failure"}]}', "missing field"),
+            ('{"events": [3]}', "must be a JSON object"),
+            ('{"max_retires": 5}', "unknown field(s) max_retires"),
+            ('{"max_retries": "3"}', "'max_retries' must be an integer"),
+            ("[" * 100_000, "not valid JSON"),
         ],
-        ids=["invalid-json", "list", "unknown-kind", "missing-file"],
+        ids=[
+            "invalid-json",
+            "list",
+            "unknown-kind",
+            "missing-file",
+            "missing-field",
+            "event-not-object",
+            "typo-field",
+            "wrong-type",
+            "deep-nesting",
+        ],
     )
     def test_bad_spec_is_one_error_line(
         self, text, message, tmp_path, monkeypatch, capsys

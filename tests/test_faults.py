@@ -99,6 +99,29 @@ class TestSpec:
         with pytest.raises(SimulationError):
             FaultSpec(retry_backoff_s=1e-3, retry_backoff_cap_s=1e-4)
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"seed": "abc"},
+            {"max_retries": 2.5},
+            {"events": [{"kind": "bank-failure", "time_s": 0.0, "bank": 2.7}]},
+            {
+                "events": [
+                    {
+                        "kind": "thermal-throttle",
+                        "time_s": 0.0,
+                        "duration_s": 0.01,
+                        "factor": True,
+                    }
+                ]
+            },
+        ],
+        ids=["seed-string", "retries-float", "bank-float", "factor-bool"],
+    )
+    def test_wrong_json_type_is_rejected(self, document):
+        with pytest.raises(SimulationError, match="must be"):
+            FaultSpec.from_json(json.dumps(document))
+
     def test_backoff_doubles_then_caps(self):
         spec = FaultSpec(retry_backoff_s=50e-6, retry_backoff_cap_s=400e-6)
         delays = [spec.backoff_s(attempt) for attempt in range(1, 8)]

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.chaos import (
     ChaosRule,
+    ChaosSpec,
     ChaosSpecError,
     corrupt_bytes,
     injector,
@@ -314,6 +315,8 @@ class TestChaos:
             ChaosRule(site="worker.kill", kind="bit_flip", at=(0,))
         with pytest.raises(ChaosSpecError, match="'at' occurrences"):
             ChaosRule(site="journal.append", kind="bit_flip")
+        with pytest.raises(ChaosSpecError, match="not valid JSON"):
+            ChaosSpec.from_json("[" * 100_000)
         spec = make_spec(9, [
             ChaosRule(site="serve.execute", kind="slow_io", one_in=2),
         ])

@@ -94,6 +94,12 @@ class TestProtocol:
         assert err.value.status == 400
         assert fragment in str(err.value)
 
+    def test_deeply_nested_body_is_a_400(self):
+        with pytest.raises(ProtocolError) as err:
+            parse_simulate_request(b"[" * 100_000, {})
+        assert err.value.status == 400
+        assert "not valid JSON" in str(err.value)
+
     def test_round_trips_through_journal_spec(self):
         """The recovery path rebuilds the identical request from the
         journaled dict — one validation contract for both paths."""
