@@ -1,8 +1,9 @@
 """Plain-text table/bar rendering for experiment outputs.
 
 Every experiment module renders its result the way the paper presents it —
-as rows of a table or series of a bar chart — so the benchmark harness can
-print directly comparable output.
+as rows of a table or series of a bar chart — so ``repro experiment <id>``
+prints directly comparable output, which ``benchmarks/results/<id>.txt``
+pins byte for byte (``tests/test_artifacts.py``).
 """
 
 from __future__ import annotations

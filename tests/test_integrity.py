@@ -12,7 +12,9 @@ import hashlib
 import json
 import marshal
 import pickle
+import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -31,10 +33,13 @@ from repro.errors import CorruptObjectError
 from repro.experiments.common import cached_graph, resolve_configuration
 from repro.experiments.journal import RunJournal
 from repro.serve import start_in_thread
-from repro.serve.bench import post_simulate
 from repro.serve.daemon import ServeDaemon
 from repro.sim import cache as sim_cache
 from repro.sim import fsck as fsck_mod
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+from serve_client import post_simulate  # noqa: E402
 
 
 @pytest.fixture(autouse=True)

@@ -97,12 +97,14 @@ class TestPackageSurface:
 
     def test_design_tables_name_real_code(self):
         """Every dotted name in DESIGN.md's subsystem "Package" column and
-        experiment "Modules" column resolves under ``repro``."""
+        experiment "Modules" column resolves under ``repro``, and every
+        path in the experiment "Artifact" column exists."""
         import importlib
         import re
         from pathlib import Path
 
-        design = (Path(__file__).parent.parent / "DESIGN.md").read_text()
+        repo = Path(__file__).parent.parent
+        design = (repo / "DESIGN.md").read_text()
         names = []
         for header, column in (("| Subsystem |", 1), ("| Experiment |", 3)):
             table = design.split(header, 1)[1].split("\n\n", 1)[0]
@@ -110,6 +112,9 @@ class TestPackageSurface:
                 cell = row.split("|")[column + 1]
                 names += re.findall(r"`([A-Za-z_][\w.]*)`", cell)
         assert len(names) > 20
+        rows = design.split("| Experiment |", 1)[1].split("\n\n", 1)[0]
+        artifacts = [row.split("|")[5].strip(" `") for row in rows.splitlines()[2:]]
+        assert [path for path in artifacts if not (repo / path).is_file()] == []
         unresolved = []
         for name in names:
             parts = name.removeprefix("repro.").split(".")

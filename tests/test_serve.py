@@ -2,8 +2,8 @@
 
 End-to-end tests run a real daemon (in-thread for speed, subprocess for
 the crash-recovery scenario) against an isolated cache and talk to it
-over real sockets with the raw client from :mod:`repro.serve.bench` —
-the same client the benchmarks and the CI gate use.
+over real sockets with the raw client in ``tools/serve_client.py`` —
+the same client the CI gates use.
 """
 
 import asyncio
@@ -22,7 +22,6 @@ from repro import api
 from repro.errors import ProtocolError, ReproError, ServeError
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.serve import start_in_thread
-from repro.serve.bench import http_request, percentile, post_simulate
 from repro.serve.daemon import ServeDaemon
 from repro.serve.http import read_request, render_response
 from repro.serve.protocol import (
@@ -34,6 +33,9 @@ from repro.serve.quota import QuotaTable, TokenBucket
 from repro.sim import cache as sim_cache
 
 REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "tools"))
+
+from serve_client import http_request, percentile, post_simulate  # noqa: E402
 
 
 @pytest.fixture(autouse=True)

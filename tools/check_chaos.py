@@ -47,10 +47,11 @@ import threading
 import time
 from pathlib import Path
 
+from serve_client import http_request
+
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.serve.bench import http_request  # noqa: E402
 from repro.sim.cache import extract_meta  # noqa: E402
 
 #: Small, fast workloads shared by the storage scenarios.

@@ -35,10 +35,9 @@ import threading
 import time
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO / "src"))
+from serve_client import http_request, post_simulate
 
-from repro.serve.bench import http_request, post_simulate  # noqa: E402
+REPO = Path(__file__).resolve().parent.parent
 
 #: The request every check serves (small model, tiny step count).
 REQUEST = {"model": "alexnet", "steps": 2}

@@ -1,10 +1,10 @@
 """Raw-socket client + load generator for the serve daemon.
 
-Shared by ``benchmarks/bench_serve.py``, ``tools/check_perf.py`` (which
-gates the warm p99 against the committed budget) and the test-suite, so
-the numbers all three report come from one code path.  Plain blocking
-sockets — the *daemon* is the system under test, and a dependency-free
-client keeps the measurement honest.
+Shared by the serve, chaos and perf gates in this directory (which
+import it as a sibling) and by the test-suite (which puts ``tools/`` on
+``sys.path``), so the numbers they report come from one code path.
+Plain blocking sockets — the *daemon* is the system under test, and a
+dependency-free client keeps the measurement honest.
 """
 
 from __future__ import annotations
