@@ -6,11 +6,10 @@ Commands:
   :func:`repro.api.simulate` and print the per-step report (optionally
   with an ASCII schedule timeline and/or a Chrome/Perfetto trace file);
 * ``profile`` — Table-I style CPU characterization of a model;
-* ``experiment`` — regenerate one paper table/figure by id (journaled:
-  an interrupted batch is resumable);
-* ``resume`` — re-run an interrupted ``experiment`` batch; journaled-
-  complete jobs are free cache hits, artifacts come out byte-identical
-  to an uninterrupted run;
+* ``experiment`` — regenerate one paper table/figure by id; an
+  interrupted run is finished by re-running the same command (completed
+  jobs are free cache hits, the artifact comes out byte-identical to an
+  uninterrupted run);
 * ``cache`` — inspect (``stats``) or LRU-prune (``prune``) the on-disk
   simulation result cache;
 * ``trace`` — export a model trace to JSON (``--format ops`` for the raw
@@ -31,9 +30,9 @@ Commands:
 * ``models`` / ``configs`` / ``backends`` — list available workloads,
   configurations and registered hardware backends.
 
-Experiment artifacts print to **stdout** only; progress/journal banners
-go to stderr, so redirected artifacts stay byte-comparable across
-interrupted-and-resumed and uninterrupted runs.
+Experiment artifacts print to **stdout** only; progress banners go to
+stderr, so redirected artifacts stay byte-comparable across
+interrupted-and-re-run and uninterrupted runs.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from typing import List, Optional
 from . import api, experiments
 from .baselines import CONFIGURATION_ORDER
 from .errors import (
-    ExecutionError,
     FidelityError,
     Interrupted,
     InvariantViolation,
@@ -152,11 +150,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     experiment.add_argument("id", choices=EXPERIMENT_IDS)
     experiment.add_argument(
-        "--run-id", default=None, metavar="ID",
-        help="journal run id (default: generated); pass it to "
-             "'repro resume' after an interruption",
-    )
-    experiment.add_argument(
         "--surrogate", action="store_true",
         help="answer per-run queries from the learned cost surrogate "
              "where possible (estimated artifacts, NOT byte-identical "
@@ -167,15 +160,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="small smoke-test mode where the experiment supports it "
              "(currently 'compare': fewer models, 1 step) — artifacts "
              "are NOT comparable to full-mode ones",
-    )
-
-    resume = sub.add_parser(
-        "resume",
-        help="resume an interrupted experiment batch from its run journal",
-    )
-    resume.add_argument(
-        "run_id", nargs="?", default=None,
-        help="journal run id (default: the most recent run)",
     )
 
     cache_cmd = sub.add_parser(
@@ -413,106 +397,39 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_journaled_experiment(experiment_id: str, journal) -> int:
-    """Run one experiment module under a journal; artifact on stdout,
-    supervision/progress on stderr."""
-    from .experiments import runner
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    """Run one experiment module; artifact on stdout, supervision and
+    progress on stderr."""
+    if args.surrogate:
+        print(
+            "surrogate mode: per-run numbers are estimates with error "
+            "bands, not exact simulations",
+            file=sys.stderr,
+        )
+    from .experiments import compare, runner
+    from .experiments.common import set_surrogate
 
-    module = getattr(experiments, experiment_id)
+    prior = set_surrogate(args.surrogate)
+    prior_small = compare.set_small(args.steps_small)
     try:
-        with runner.attach_journal(journal):
-            module.main()
+        getattr(experiments, args.id).main()
     except Interrupted:
         print(
-            f"interrupted — completed jobs are journaled and cached; "
-            f"resume with: repro resume {journal.run_id}",
+            "interrupted — completed jobs are cached; re-run the same "
+            "command to finish",
             file=sys.stderr,
         )
         return 130
     except PoisonJob as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    journal.record_event("complete")
+    finally:
+        set_surrogate(prior)
+        compare.set_small(prior_small)
     supervision = runner.last_supervision()
     if supervision is not None:
         print(f"batch: {supervision.summary()}", file=sys.stderr)
     return 0
-
-
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    from .experiments.journal import RunJournal
-
-    try:
-        journal = RunJournal.create(
-            "experiment", {"id": args.id}, run_id=args.run_id
-        )
-    except ExecutionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(f"run id: {journal.run_id}", file=sys.stderr)
-    use_surrogate = bool(getattr(args, "surrogate", False))
-    if use_surrogate:
-        print(
-            "surrogate mode: per-run numbers are estimates with error "
-            "bands, not exact simulations",
-            file=sys.stderr,
-        )
-    from .experiments import compare
-    from .experiments.common import set_surrogate
-
-    prior = set_surrogate(use_surrogate)
-    prior_small = compare.set_small(bool(getattr(args, "steps_small", False)))
-    try:
-        return _run_journaled_experiment(args.id, journal)
-    finally:
-        set_surrogate(prior)
-        compare.set_small(prior_small)
-        journal.close()
-
-
-def _cmd_resume(args: argparse.Namespace) -> int:
-    from .experiments.journal import RunJournal, latest_run_id
-
-    run_id = args.run_id if args.run_id is not None else latest_run_id()
-    if run_id is None:
-        print(
-            "error: no journaled runs to resume — start one with "
-            "'repro experiment <id>' first",
-            file=sys.stderr,
-        )
-        return 1
-    try:
-        journal = RunJournal.load(run_id)
-    except ExecutionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    header = journal.header
-    if header.get("kind") != "experiment":
-        print(
-            f"error: journal {run_id!r} is a {header.get('kind')!r} run, "
-            "not a resumable experiment",
-            file=sys.stderr,
-        )
-        return 1
-    experiment_id = header["spec"]["id"]
-    if experiment_id not in EXPERIMENT_IDS:
-        print(
-            f"error: journal {run_id!r} names unknown experiment "
-            f"{experiment_id!r}",
-            file=sys.stderr,
-        )
-        return 1
-    done = len(journal.completed_fingerprints())
-    state = "complete" if journal.is_complete() else "incomplete"
-    print(
-        f"resuming {run_id}: experiment {experiment_id} "
-        f"({state}, {done} jobs journaled done — cache makes them free)",
-        file=sys.stderr,
-    )
-    try:
-        return _run_journaled_experiment(experiment_id, journal)
-    finally:
-        journal.close()
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
@@ -847,8 +764,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_profile(args)
     if args.command == "experiment":
         return _cmd_experiment(args)
-    if args.command == "resume":
-        return _cmd_resume(args)
     if args.command == "cache":
         return _cmd_cache(args)
     if args.command == "serve":

@@ -123,7 +123,7 @@ class KernelBuildError(ProgrammingModelError):
 
 
 class ExecutionError(ReproError):
-    """Raised by the experiment execution layer (supervised pool, journal).
+    """Raised by the execution harness (supervised pool, serve journal).
 
     Distinct from :class:`SimulationError`: these errors concern the
     *harness* that runs batches of simulations — worker processes, job
@@ -139,8 +139,8 @@ class JobTimeout(ExecutionError):
 class PoisonJob(ExecutionError):
     """Raised after a supervised batch completes with quarantined jobs.
 
-    The batch itself finishes — every healthy job's result is cached and
-    journaled — and then this error reports the jobs that exhausted their
+    The batch itself finishes — every healthy job's result is cached —
+    and then this error reports the jobs that exhausted their
     retry budget.  ``failures`` holds one
     :class:`~repro.experiments.runner.JobFailure` per quarantined job
     (fingerprint, failure kind, last exception, attempt count).
@@ -154,14 +154,10 @@ class PoisonJob(ExecutionError):
 class Interrupted(ExecutionError):
     """Raised when a batch is interrupted (SIGINT/SIGTERM).
 
-    Completed results are already flushed to the cache and journal when
-    this propagates; ``run_id`` (when a journal was active) names the
-    journal to pass to ``repro resume``.
+    Completed results are already stored in the cache when this
+    propagates, so re-running the same command finishes the batch with
+    every completed job a cache hit.
     """
-
-    def __init__(self, message: str, run_id=None):
-        super().__init__(message)
-        self.run_id = run_id
 
 
 class CorruptObjectError(ReproError):
@@ -186,9 +182,9 @@ class CorruptJournalError(ExecutionError):
     """Raised by a strict journal load when an interior line is damaged.
 
     The tolerant default loader merely *counts* damaged lines
-    (``RunJournal.corrupt_lines``) — a dropped ``done`` line only costs a
-    recompute on resume — but auditors (``repro cache fsck``) load
-    strictly so mid-file corruption is surfaced, not skipped.
+    (``RunJournal.corrupt_lines``) — a dropped ``done`` line only costs
+    serving one request again after a restart — while a strict load
+    surfaces mid-file corruption instead of skipping it.
     """
 
 

@@ -1,8 +1,7 @@
 """Experiments: one module per paper table/figure (see DESIGN.md index).
 
 Submodules load on first attribute access (``experiments.fig9``), so a
-process that needs one of them — the serve daemon's ``journal`` — does
-not import the other twenty.
+process that runs one experiment does not import the other twenty.
 """
 
 import importlib
@@ -25,7 +24,6 @@ _SUBMODULES = (
     "fig15",
     "fig16",
     "fig17",
-    "journal",
     "runner",
     "summary",
     "table1",

@@ -27,13 +27,10 @@ cannot take the evaluation down with it:
   batch still completes.  :func:`run_jobs` then raises
   :class:`~repro.errors.PoisonJob` describing them.
 
-With a journal attached (:func:`attach_journal`), every job's terminal
-status is append-logged to ``<cache-dir>/journal/<run-id>.jsonl`` and
 SIGINT/SIGTERM interrupt the batch *gracefully*: completed results are
-already flushed to the cache and journal, and the raised
-:class:`~repro.errors.Interrupted` names the run id that ``repro resume``
-needs to pick the batch back up (journaled-complete jobs are free cache
-hits on resume).
+already stored in the cache when :class:`~repro.errors.Interrupted` is
+raised, so re-running the same command picks the batch back up (every
+finished job is a free cache hit).
 
 Worker count resolution (first match wins): :func:`set_jobs` (the CLI's
 top-level ``--jobs`` flag calls this); the ``REPRO_JOBS`` environment
@@ -65,7 +62,6 @@ from ..obs.report import BatchSupervision
 from ..sim import cache as sim_cache
 from ..sim.policy import SchedulingPolicy
 from ..sim.results import RunResult
-from .journal import RunJournal
 
 #: One simulation job: ``(graph, policy, config, steps)`` — a 4-tuple —
 #: or the 5-tuple form with a trailing :class:`~repro.faults.FaultSpec`
@@ -144,30 +140,12 @@ def retry_backoff() -> float:
     return _env_float("REPRO_RETRY_BACKOFF", 0.05)
 
 
-# ---------------------------------------------------------------------------
-# journal attachment
-# ---------------------------------------------------------------------------
-_active_journal: Optional[RunJournal] = None
-
 _last_supervision: Optional[BatchSupervision] = None
 
 
 def last_supervision() -> Optional[BatchSupervision]:
     """Supervision counts of the most recent :func:`run_jobs` batch."""
     return _last_supervision
-
-
-@contextmanager
-def attach_journal(journal: RunJournal):
-    """Route every :func:`run_jobs` call in the block through ``journal``
-    (job statuses are append-logged; interrupts become resumable)."""
-    global _active_journal
-    previous = _active_journal
-    _active_journal = journal
-    try:
-        yield journal
-    finally:
-        _active_journal = previous
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +215,12 @@ class _Supervisor:
         tasks: Sequence,
         keys: Sequence[str],
         n_workers: int,
-        journal: Optional[RunJournal],
         on_result: Optional[Callable[[int, object], None]],
     ):
         self.fn = fn
         self.tasks = list(tasks)
         self.keys = list(keys)
         self.n_workers = n_workers
-        self.journal = journal
         self.on_result = on_result
         self.timeout = job_timeout()
         self.max_attempts = job_retries() + 1
@@ -298,8 +274,6 @@ class _Supervisor:
         self.completed += 1
         if self.on_result is not None:
             self.on_result(index, result)
-        if self.journal is not None:
-            self.journal.record_job(self.keys[index], "done", cached=False)
 
     def _charge(self, index: int, kind: str, error: BaseException) -> None:
         """Charge a failed attempt; requeue with backoff or quarantine."""
@@ -317,14 +291,6 @@ class _Supervisor:
             )
             self.failures.append(failure)
             self.settled[index] = True
-            if self.journal is not None:
-                self.journal.record_job(
-                    self.keys[index],
-                    "quarantined",
-                    kind=kind,
-                    error=self.last_error[index],
-                    attempts=self.attempts[index],
-                )
             return
         self.retries += 1
         delay = min(
@@ -492,13 +458,12 @@ def supervise(
     keys: Optional[Sequence[str]] = None,
     *,
     n_workers: Optional[int] = None,
-    journal: Optional[RunJournal] = None,
     on_result: Optional[Callable[[int, object], None]] = None,
 ) -> BatchOutcome:
     """Run ``fn`` over ``tasks`` under the supervised pool.
 
     ``fn`` and every task must be picklable.  ``keys`` names each task in
-    journals and failure reports (defaults to ``job-<i>``).  Never raises
+    failure reports (defaults to ``job-<i>``).  Never raises
     for job failures — inspect ``outcome.failures``; raises
     :class:`~repro.errors.Interrupted` on SIGINT/SIGTERM.
     """
@@ -511,22 +476,13 @@ def supervise(
         )
     workers = n_workers if n_workers is not None else get_jobs()
     workers = max(1, min(workers, len(tasks))) if tasks else 1
-    supervisor = _Supervisor(fn, tasks, keys, workers, journal, on_result)
+    supervisor = _Supervisor(fn, tasks, keys, workers, on_result)
     outcome = supervisor.run()
     global _last_supervision
     _last_supervision = outcome.supervision
     if supervisor.interrupted:
-        run_id = journal.run_id if journal is not None else None
-        if journal is not None:
-            journal.record_event(
-                "interrupted",
-                settled=sum(supervisor.settled),
-                total=len(tasks),
-            )
         raise Interrupted(
             "batch interrupted by signal; completed results are cached"
-            + (f" — resume with: repro resume {run_id}" if run_id else ""),
-            run_id=run_id,
         )
     return outcome
 
@@ -576,7 +532,6 @@ def run_jobs(jobs: Sequence[Job]) -> List[RunResult]:
     """
     global _last_supervision
     jobs = [_normalize(job) for job in jobs]
-    journal = _active_journal
     prints = [
         sim_cache.run_fingerprint(g, p, c, s, faults=f)
         for g, p, c, s, f in jobs
@@ -594,10 +549,6 @@ def run_jobs(jobs: Sequence[Job]) -> List[RunResult]:
 
         for result in hits.values():
             check_result(result)
-    if journal is not None and hits:
-        already = journal.completed_fingerprints()
-        for fp in sorted(hits.keys() - already):
-            journal.record_job(fp, "done", cached=True)
     n_workers = min(get_jobs(), max(1, len(pending)))
 
     def store(k: int, result: RunResult) -> None:
@@ -606,17 +557,15 @@ def run_jobs(jobs: Sequence[Job]) -> List[RunResult]:
         found[prints[i]] = result
 
     tasks = [jobs[i] for i in pending]
-    keys = [prints[i] for i in pending]
     failures: List[JobFailure] = []
     if pending and n_workers <= 1:
-        supervision = _run_serial(tasks, keys, journal, store)
+        supervision = _run_serial(tasks, store)
     elif pending:
         outcome = supervise(
             _worker,
             tasks,
-            keys=keys,
+            keys=[prints[i] for i in pending],
             n_workers=n_workers,
-            journal=journal,
             on_result=store,
         )
         failures = outcome.failures
@@ -647,8 +596,8 @@ def run_jobs(jobs: Sequence[Job]) -> List[RunResult]:
     return [found[fp] for fp in prints]
 
 
-def _run_serial(tasks, keys, journal, on_result) -> BatchSupervision:
-    """In-process path: no pool, but still journaled and interruptible."""
+def _run_serial(tasks, on_result) -> BatchSupervision:
+    """In-process path: no pool, but still interruptible."""
     stop = threading.Event()
     completed = 0
     interrupted = False
@@ -659,8 +608,6 @@ def _run_serial(tasks, keys, journal, on_result) -> BatchSupervision:
                 break
             on_result(k, _worker(task))
             completed += 1
-            if journal is not None:
-                journal.record_job(keys[k], "done", cached=False)
         else:
             interrupted = stop.is_set()
     supervision = BatchSupervision(
@@ -669,16 +616,9 @@ def _run_serial(tasks, keys, journal, on_result) -> BatchSupervision:
         interrupted=interrupted,
     )
     if interrupted:
-        run_id = journal.run_id if journal is not None else None
-        if journal is not None:
-            journal.record_event(
-                "interrupted", settled=completed, total=len(tasks)
-            )
         global _last_supervision
         _last_supervision = supervision
         raise Interrupted(
             "batch interrupted by signal; completed results are cached"
-            + (f" — resume with: repro resume {run_id}" if run_id else ""),
-            run_id=run_id,
         )
     return supervision

@@ -46,8 +46,8 @@ class BatchSupervision:
     abandon) a batch of jobs: how many were served from the cache, how
     many ran, and every intervention — retries after transient failures,
     watchdog timeouts, worker-pool crashes/respawns, and jobs quarantined
-    after exhausting their retry budget.  ``repro resume`` and the
-    experiment CLI print this; tests assert on it.
+    after exhausting their retry budget.  ``repro experiment`` prints
+    this; tests assert on it.
     """
 
     submitted: int = 0

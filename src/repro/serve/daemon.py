@@ -17,7 +17,7 @@ multi-tenant serving primitive:
 * **dedup** — identical in-flight requests (same fingerprint) run the
   simulation once and fan the finished report out to every waiter;
 * **durability** — accepted requests are journaled
-  (:mod:`repro.experiments.journal`, kind ``serve``) before they are
+  (:mod:`repro.serve.journal`) before they are
   queued and marked ``done`` after the canonical report JSON is written
   atomically to ``<cache-dir>/serve/reports/v2/``.  A daemon killed at any
   instant therefore restarts into a consistent world: finished reports
@@ -69,12 +69,11 @@ from ..errors import (
     ProtocolError,
     ReproError,
 )
-from ..experiments import journal as journal_mod
-from ..experiments.journal import RunJournal
 from ..obs.metrics import GLOBAL_REGISTRY, MetricsRegistry
 from ..sim import cache as sim_cache
 from ..sim.results import canonical_dumps
 from .http import Request, read_request, render_response
+from .journal import RunJournal, list_runs, new_run_id
 from .protocol import (
     SERVE_SCHEMA,
     SimulateRequest,
@@ -290,7 +289,7 @@ class ServeDaemon:
             self._journal = RunJournal.create(
                 "serve",
                 {"host": self.host, "workers": self.workers},
-                run_id=f"serve-{journal_mod.new_run_id()}",
+                run_id=f"serve-{new_run_id()}",
             )
         except ExecutionError:
             self._journal = None  # e.g. read-only cache dir: still serve
@@ -320,7 +319,7 @@ class ServeDaemon:
         """
         recovered: List[SimulateRequest] = []
         seen_ids = set()
-        for run_id in journal_mod.list_runs():
+        for run_id in list_runs():
             try:
                 old = RunJournal.load(run_id)
             except ExecutionError:

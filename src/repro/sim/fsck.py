@@ -14,10 +14,11 @@ durable tiers:
   a repair can never install the wrong result under a fingerprint.  Deterministic
   simulation makes the recomputed artifact byte-identical, which
   ``tools/check_chaos.py`` asserts in CI.
-* **journals** (``journal/``) — loaded with per-line checksum and seal
-  verification.  Interior damage is *reported* (the tolerant loader
-  already drops such lines; the worst case is one recompute on resume);
-  journals without a readable header are quarantined under ``--repair``.
+* **serve journals** (``journal/``) — loaded with per-line checksum and
+  seal verification.  Interior damage is *reported* (the tolerant loader
+  already drops such lines; the worst case is one request served again
+  after a restart); journals without a readable header are quarantined
+  under ``--repair``.
 * **serve reports** (``serve/reports/v2/``) — framed like cache
   objects, with the request as ``meta``, and checked the same way;
   reports of other namespaces are counted ``legacy`` and left alone.
@@ -169,7 +170,7 @@ def _scan_objects(report: Report, repair: bool) -> None:
 # journals
 # ---------------------------------------------------------------------------
 def _scan_journals(report: Report, repair: bool) -> None:
-    from ..experiments import journal as journal_mod
+    from ..serve import journal as journal_mod
 
     journals = report["journals"]
     directory = journal_mod.journal_dir()

@@ -199,7 +199,7 @@ class TestFig17:
 
 
 class TestSupervisedRunner:
-    """run_jobs rides the supervised pool: order, tuple forms, journal."""
+    """run_jobs rides the supervised pool: order, tuple forms, cache hits."""
 
     def _jobs(self):
         from repro.experiments.common import (
@@ -244,26 +244,19 @@ class TestSupervisedRunner:
         assert (second.submitted, second.cached) == (1, 1)
         assert second.completed == 0
 
-    def test_journaled_batch_resumes_from_cache(self, tmp_path,
-                                                monkeypatch):
+    def test_rerun_batch_resumes_from_cache(self, tmp_path, monkeypatch):
+        """Re-running a finished batch in a fresh process (cold memory
+        tier) answers every job from the disk cache."""
         from repro.experiments import runner
-        from repro.experiments.journal import RunJournal
         from repro.sim import cache as sim_cache
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(sim_cache, "_memory", {})
         graph, policy, config = self._jobs()
         jobs = [(graph, policy, config, s) for s in (1, 2)]
-        journal = RunJournal.create("experiment", {"id": "adhoc"})
-        with runner.attach_journal(journal):
-            runner.run_jobs(jobs)
-        journal.close()
-        assert len(journal.completed_fingerprints()) == 2
-        # a "resumed" process: cold memory tier, same journal
+        runner.run_jobs(jobs)
+        assert runner.last_supervision().completed == 2
         sim_cache._memory.clear()
-        resumed = RunJournal.load(journal.run_id)
-        with runner.attach_journal(resumed):
-            runner.run_jobs(jobs)
-        resumed.close()
+        runner.run_jobs(jobs)
         supervision = runner.last_supervision()
         assert supervision.cached == 2 and supervision.completed == 0

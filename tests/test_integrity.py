@@ -31,7 +31,7 @@ from repro.chaos import (
 )
 from repro.errors import CorruptObjectError
 from repro.experiments.common import cached_graph, resolve_configuration
-from repro.experiments.journal import RunJournal
+from repro.serve.journal import RunJournal
 from repro.serve import start_in_thread
 from repro.serve.daemon import ServeDaemon
 from repro.sim import cache as sim_cache
@@ -266,7 +266,7 @@ class TestDegradedMode:
         assert sim_cache.degraded()
         injector.deactivate()
 
-        journal = RunJournal.create("experiment", {"id": "x"}, run_id="deg")
+        journal = RunJournal.create("serve", {}, run_id="deg")
         journal.record_job("aaa", "done")
         journal.close()
         assert journal.degraded

@@ -154,7 +154,8 @@ class TestPackageSurface:
     def test_simulation_runs_without_numpy(self, tmp_path):
         """The front doors import, and a clean and a faulted run simulate,
         with numpy unimportable: only ``nn.numeric`` and the surrogate
-        need it, and both load it on first use."""
+        need it, and both load it on first use.  The serve daemon loads
+        no experiment module."""
         import os
         import subprocess
         import sys
@@ -163,7 +164,10 @@ class TestPackageSurface:
         script = """
 import sys
 sys.modules["numpy"] = None
-import repro.api, repro.cli, repro.serve.daemon
+import repro.serve.daemon
+experiments = [m for m in sys.modules if m.startswith("repro.experiments")]
+assert not experiments, experiments
+import repro.api, repro.cli
 from repro.faults import FaultSpec
 clean = repro.api.simulate("lstm", "hetero-pim", 1).result
 spec = FaultSpec.generate(

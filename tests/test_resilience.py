@@ -1,4 +1,5 @@
-"""Crash-safe execution layer: supervised pool, journal, resume.
+"""Crash-safe execution layer: supervised pool, serve journal, interrupt
+and re-run.
 
 The worker functions live at module level so the pool can pickle them
 (workers resolve them by qualified name; the fork start method guarantees
@@ -18,12 +19,7 @@ import pytest
 from repro.errors import ExecutionError, PoisonJob
 from repro.experiments import runner
 from repro.experiments.common import write_atomic
-from repro.experiments.journal import (
-    RunJournal,
-    journal_dir,
-    latest_run_id,
-    list_runs,
-)
+from repro.serve.journal import RunJournal, journal_dir, list_runs
 from repro.sim import cache as sim_cache
 from repro.sim.simulation import Simulation
 
@@ -209,23 +205,23 @@ def _poison_first_worker(job):
 
 class TestJournal:
     def test_roundtrip_and_completed_set(self):
-        journal = RunJournal.create("experiment", {"id": "fig9"})
-        journal.record_job("aaa", "done", cached=False)
-        journal.record_job("bbb", "done", cached=True)
-        journal.record_job("ccc", "quarantined", kind="crash", error="x")
-        journal.record_event("interrupted", settled=2, total=3)
+        journal = RunJournal.create("serve", {"workers": 2})
+        journal.record_job("aaa", "accepted", request={"model": "lstm"})
+        journal.record_job("aaa", "done")
+        journal.record_job("bbb", "done")
+        journal.record_job("ccc", "failed", error="x")
         journal.close()
 
         loaded = RunJournal.load(journal.run_id)
-        assert loaded.header["kind"] == "experiment"
-        assert loaded.header["spec"] == {"id": "fig9"}
+        assert loaded.header["kind"] == "serve"
+        assert loaded.header["spec"] == {"workers": 2}
         assert loaded.completed_fingerprints() == {"aaa", "bbb"}
-        assert loaded.quarantined_fingerprints() == {"ccc"}
-        assert loaded.was_interrupted()
+        assert loaded.lines[1]["request"] == {"model": "lstm"}
+        assert loaded.lines[4]["error"] == "x"
         assert not loaded.is_complete()
 
     def test_every_line_is_standalone_json(self):
-        journal = RunJournal.create("experiment", {"id": "table1"})
+        journal = RunJournal.create("serve", {})
         for i in range(10):
             journal.record_job(f"fp{i}", "done")
         journal.close()
@@ -236,7 +232,7 @@ class TestJournal:
             json.loads(line)  # no interleaving, no truncation
 
     def test_truncated_tail_tolerated(self):
-        journal = RunJournal.create("experiment", {"id": "fig8"})
+        journal = RunJournal.create("serve", {})
         journal.record_job("aaa", "done")
         journal.close()
         path = journal_dir() / f"{journal.run_id}.jsonl"
@@ -246,7 +242,7 @@ class TestJournal:
         assert loaded.completed_fingerprints() == {"aaa"}
 
     def test_complete_seals_and_verifies(self):
-        journal = RunJournal.create("experiment", {"id": "fig9"})
+        journal = RunJournal.create("serve", {})
         journal.record_job("aaa", "done")
         journal.record_event("complete")
         journal.close()
@@ -256,7 +252,7 @@ class TestJournal:
         assert loaded.is_complete()
 
     def test_midfile_bitrot_dropped_and_counted(self):
-        journal = RunJournal.create("experiment", {"id": "fig9"})
+        journal = RunJournal.create("serve", {})
         for fp in ("aaa", "bbb", "ccc"):
             journal.record_job(fp, "done")
         journal.record_event("complete")
@@ -274,7 +270,7 @@ class TestJournal:
         assert loaded.sealed is False
 
     def test_interior_garbage_line_dropped_not_fatal(self):
-        journal = RunJournal.create("experiment", {"id": "fig8"})
+        journal = RunJournal.create("serve", {})
         journal.record_job("aaa", "done")
         journal.close()
         path = journal_dir() / f"{journal.run_id}.jsonl"
@@ -288,7 +284,7 @@ class TestJournal:
     def test_strict_load_raises_on_damage(self):
         from repro.errors import CorruptJournalError
 
-        journal = RunJournal.create("experiment", {"id": "fig8"})
+        journal = RunJournal.create("serve", {})
         journal.record_job("aaa", "done")
         journal.close()
         path = journal_dir() / f"{journal.run_id}.jsonl"
@@ -305,41 +301,19 @@ class TestJournal:
         with pytest.raises(ExecutionError, match="no journal"):
             RunJournal.load("never-created")
         with pytest.raises(ExecutionError, match="invalid run id"):
-            RunJournal.create("experiment", {}, run_id="../escape")
+            RunJournal.create("serve", {}, run_id="../escape")
 
     def test_duplicate_run_id_rejected(self):
-        RunJournal.create("experiment", {"id": "fig9"}, run_id="dup").close()
+        RunJournal.create("serve", {}, run_id="dup").close()
         with pytest.raises(ExecutionError, match="already exists"):
-            RunJournal.create("experiment", {"id": "fig9"}, run_id="dup")
+            RunJournal.create("serve", {}, run_id="dup")
 
     def test_list_runs_most_recent_first(self):
-        RunJournal.create("experiment", {}, run_id="one").close()
+        RunJournal.create("serve", {}, run_id="one").close()
         time.sleep(0.02)
-        RunJournal.create("experiment", {}, run_id="two").close()
+        RunJournal.create("serve", {}, run_id="two").close()
         runs = list_runs()
         assert runs[0] == "two" and "one" in runs
-        assert latest_run_id() == "two"
-
-    def test_run_jobs_journals_cached_and_fresh(self):
-        from repro.experiments.common import (
-            cached_graph,
-            resolve_configuration,
-        )
-
-        config, policy = resolve_configuration("hetero-pim")
-        job = (cached_graph("alexnet"), policy, config, 1)
-        journal = RunJournal.create("experiment", {"id": "adhoc"})
-        with runner.attach_journal(journal):
-            runner.run_jobs([job])
-            runner.run_jobs([job])  # second call: pure cache hit
-        journal.close()
-        jobs = [
-            line
-            for line in journal.lines
-            if line.get("event") == "job"
-        ]
-        assert [j["cached"] for j in jobs] == [False]  # hit not re-logged
-        assert len(journal.completed_fingerprints()) == 1
 
 
 class TestWriteAtomic:
@@ -491,8 +465,9 @@ class TestTenantAccounting:
 
 
 class TestInterruptAndResume:
-    """SIGINT mid-batch, then `repro resume`: artifacts byte-identical
-    to an uninterrupted serial run (the paper-evaluation invariant)."""
+    """SIGINT mid-batch, then the same command again: the artifact is
+    byte-identical to an uninterrupted serial run (the paper-evaluation
+    invariant), and the finished jobs come from the cache."""
 
     def _run_cli(self, args, cache_dir, jobs, **kwargs):
         env = dict(os.environ)
@@ -521,32 +496,31 @@ class TestInterruptAndResume:
         env["REPRO_CACHE_DIR"] = str(chaos_cache)
         env["REPRO_JOBS"] = "2"
         proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro",
-                "experiment", "faults", "--run-id", "chaos",
-            ],
+            [sys.executable, "-m", "repro", "experiment", "faults"],
             env=env,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
         )
-        journal = chaos_cache / "journal" / "chaos.jsonl"
+        objects = chaos_cache / "objects"
         deadline = time.time() + 120
         while time.time() < deadline and proc.poll() is None:
-            if journal.exists() and '"status":"done"' in journal.read_text():
+            if objects.is_dir() and any(objects.rglob("*.json")):
                 proc.send_signal(signal.SIGINT)
                 break
             time.sleep(0.05)
         proc.communicate(timeout=120)
-        # Either we caught it mid-batch (130) or it beat us to the finish
-        # (0).  A raw -SIGINT death is a bug: by the time the journal has
-        # a done line the CLI's handler is installed, and main() shields
-        # interpreter teardown with SIG_IGN once the exit code is decided.
+        # Either we caught it mid-run (130) or it beat us to the finish
+        # (0).  A raw -SIGINT death is a bug: main() turns a signal
+        # between batches into exit 130, the supervisor turns one inside
+        # a batch into Interrupted, and main() shields interpreter
+        # teardown with SIG_IGN once the exit code is decided.
         assert proc.returncode in (130, 0)
 
-        resumed = self._run_cli(["resume", "chaos"], chaos_cache, jobs=2)
-        assert resumed.returncode == 0, resumed.stderr
-        assert resumed.stdout == baseline.stdout
+        rerun = self._run_cli(["experiment", "faults"], chaos_cache, jobs=2)
+        assert rerun.returncode == 0, rerun.stderr
+        assert rerun.stdout == baseline.stdout
+        assert not (chaos_cache / "journal").exists()
 
 
 class TestFriendlyCliErrors:
@@ -577,18 +551,4 @@ class TestFriendlyCliErrors:
         proc = self._run_cli(["cache", "stats"], empty)
         assert proc.returncode == 1
         assert "empty" in proc.stderr
-        assert "Traceback" not in proc.stderr
-
-    def test_resume_without_journal_exits_1_with_hint(self, tmp_path):
-        proc = self._run_cli(["resume"], tmp_path / "nowhere")
-        assert proc.returncode == 1
-        assert "no journaled runs" in proc.stderr
-        assert "repro experiment" in proc.stderr
-        assert "Traceback" not in proc.stderr
-
-    def test_resume_unknown_run_id_exits_1(self, tmp_path):
-        cache = tmp_path / "cache"
-        (cache / "journal").mkdir(parents=True)
-        proc = self._run_cli(["resume", "no-such-run"], cache)
-        assert proc.returncode == 1
         assert "Traceback" not in proc.stderr

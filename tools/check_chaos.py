@@ -169,8 +169,8 @@ def check_fsck_repairs_byte_identically(tmp: Path, clean: Path, clean_objects: d
 
 JOURNAL_SCRIPT = """
 import sys
-from repro.experiments.journal import RunJournal
-journal = RunJournal.create("experiment", {"id": "chaos"}, run_id="torn")
+from repro.serve.journal import RunJournal
+journal = RunJournal.create("serve", {}, run_id="torn")
 for fp in ("aaa", "bbb", "ccc"):
     journal.record_job(fp, "done")
 journal.record_event("complete")

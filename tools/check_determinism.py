@@ -13,16 +13,19 @@ All three must produce byte-identical artifacts — any drift between
 serial/parallel execution or cold/warm cache is a correctness bug in the
 result cache, the runner, or the simulator's determinism, and fails CI.
 
-``--chaos`` runs the crash-safety gate instead: a journaled
-``repro experiment faults`` batch under ``REPRO_JOBS=4`` is killed
-mid-run (once gracefully with SIGINT, once hard with SIGKILL) as soon as
-its journal shows completed jobs, then picked back up with
-``repro resume`` — and the resumed artifact must be byte-identical to an
-uninterrupted serial baseline.  The batch's four jobs run at once and
-finish within milliseconds of each other, so the killed run holds its
-second journal line back (:data:`CHAOS_HOLD`) to keep the batch
-unfinished when the signal lands; the gate fails if the batch completed
-anyway.  Each killed batch runs in its own process group, which the gate
+``--chaos`` runs the crash-safety gate instead: ``repro experiment
+faults`` under ``REPRO_JOBS=4`` is killed mid-run (once gracefully with
+SIGINT, once hard with SIGKILL) as soon as its first result object is
+on disk, then the same command is run again — and the re-run's artifact
+must be byte-identical to an uninterrupted serial baseline.  The
+experiment's jobs finish within milliseconds of each other, so the
+killed run holds its second object write back (:data:`CHAOS_HOLD`) to
+keep the run unfinished when the signal lands.  The gate fails unless
+the killed run left at least one but not all of the baseline's objects
+on disk, and unless the re-run kept every one of them: a re-simulated
+point is written through ``os.replace``, which gives its file a new
+inode (the gate hard-links the kept objects first, so no inode number
+is freed for reuse).  Each killed run has its own process group, which the gate
 SIGKILLs afterwards; it fails if any process of that group still runs.
 ``--all`` runs both gates.
 
@@ -136,19 +139,19 @@ def check_modes() -> int:
 
 
 # ---------------------------------------------------------------------------
-# chaos: mid-run kill -> repro resume -> byte-identical artifacts
+# chaos: mid-run kill -> re-run -> byte-identical artifacts
 # ---------------------------------------------------------------------------
 #: Experiment the chaos gate interrupts (small: one model, a handful of
 #: fault-sweep simulations, but routed through the supervised pool).
 CHAOS_EXPERIMENT = "faults"
 
-#: ``REPRO_CHAOS`` spec of the killed run: the parent's second journal
-#: append (the line after the first completed job) sleeps 3 s.  Without
-#: it the whole batch takes about 0.2 s and the trigger (a ``done`` line)
-#: often fires only once the batch has completed.
+#: ``REPRO_CHAOS`` spec of the killed run: the parent's second result
+#: store sleeps 3 s before it writes (the first store is the experiment's
+#: clean baseline).  Without it the whole run takes about 0.2 s and the
+#: trigger (an object on disk) often fires only once the run is done.
 CHAOS_HOLD = (
-    '{"seed":0,"rules":[{"site":"journal.append","kind":"slow_io",'
-    '"at":[2],"delay_s":3.0}]}'
+    '{"seed":0,"rules":[{"site":"cache.object_write","kind":"slow_io",'
+    '"at":[1],"delay_s":3.0}]}'
 )
 
 
@@ -159,9 +162,28 @@ def _cli_env(cache_dir: Path, jobs: int) -> dict:
     env["REPRO_CACHE"] = "1"
     env["REPRO_JOBS"] = str(jobs)
     env.pop("REPRO_JOB_TIMEOUT", None)
+    env.pop("REPRO_CHAOS", None)
     if VALIDATE:
         env["REPRO_VALIDATE"] = "1"
     return env
+
+
+def _experiment(env: dict, **kwargs):
+    return subprocess.run(
+        [sys.executable, "-m", "repro", "experiment", CHAOS_EXPERIMENT],
+        env=env,
+        cwd=REPO,
+        capture_output=True,
+        **kwargs,
+    )
+
+
+def _objects(cache_dir: Path) -> dict:
+    """Result objects on disk, by path, with their inode numbers."""
+    return {
+        path: path.stat().st_ino
+        for path in (cache_dir / "objects").rglob("*.json")
+    }
 
 
 def _running_in_group(pgid: int) -> list:
@@ -180,39 +202,24 @@ def _running_in_group(pgid: int) -> list:
     ]
 
 
-def _kill_midrun(cache_dir: Path, run_id: str, sig: signal.Signals) -> tuple:
-    """Start the chaos experiment in its own process group, kill it once its
-    journal shows progress (completed jobs), then SIGKILL whatever is left
-    of the group: a SIGKILLed batch leaves its pool workers behind.
-    Return the exit code, the processes still running after that, and
-    whether the signal interrupted the batch: it landed before the journal
-    recorded the batch ``complete``, and the batch never recorded it."""
+def _kill_midrun(cache_dir: Path, sig: signal.Signals) -> tuple:
+    """Start the chaos experiment in its own process group, send ``sig``
+    once its first result object is on disk, then SIGKILL whatever is
+    left of the group: a SIGKILLed run leaves its pool workers behind.
+    Return the exit code and the processes still running after that."""
     env = _cli_env(cache_dir, jobs=4)
     env["REPRO_CHAOS"] = CHAOS_HOLD
     proc = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "experiment",
-            CHAOS_EXPERIMENT,
-            "--run-id",
-            run_id,
-        ],
+        [sys.executable, "-m", "repro", "experiment", CHAOS_EXPERIMENT],
         env=env,
         cwd=REPO,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
         start_new_session=True,
     )
-    journal = cache_dir / "journal" / f"{run_id}.jsonl"
-    complete = '"event":"complete"'
-    unfinished = False
     deadline = time.time() + 300
     while time.time() < deadline and proc.poll() is None:
-        text = journal.read_text() if journal.exists() else ""
-        if '"status":"done"' in text:
-            unfinished = complete not in text
+        if _objects(cache_dir):
             proc.send_signal(sig)
             break
         time.sleep(0.05)
@@ -230,20 +237,15 @@ def _kill_midrun(cache_dir: Path, run_id: str, sig: signal.Signals) -> tuple:
     while survivors and time.time() < deadline:
         time.sleep(0.1)
         survivors = _running_in_group(proc.pid)
-    interrupted = unfinished and complete not in journal.read_text()
-    return proc.returncode, survivors, interrupted
+    return proc.returncode, survivors
 
 
 def check_chaos() -> int:
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
         workdir = Path(tmp)
-        baseline = subprocess.run(
-            [sys.executable, "-m", "repro", "experiment", CHAOS_EXPERIMENT],
-            env=_cli_env(workdir / "cache-serial", jobs=1),
-            cwd=REPO,
-            capture_output=True,
-            check=True,
-        ).stdout
+        serial_cache = workdir / "cache-serial"
+        baseline = _experiment(_cli_env(serial_cache, jobs=1), check=True)
+        total = len(_objects(serial_cache))
 
         failures = []
         scenarios = (
@@ -252,44 +254,58 @@ def check_chaos() -> int:
         )
         for name, sig in scenarios:
             cache_dir = workdir / f"cache-{name}"
-            code, survivors, interrupted = _kill_midrun(
-                cache_dir, f"chaos-{name}", sig
-            )
-            if not interrupted:
-                failures.append(
-                    f"{name}: the signal interrupted nothing (exit {code}): "
-                    "the batch had completed"
-                )
+            code, survivors = _kill_midrun(cache_dir, sig)
             if survivors:
                 failures.append(
                     f"{name}: {len(survivors)} process(es) of the killed "
-                    f"batch still running: {survivors}"
+                    f"run still running: {survivors}"
                 )
-            resumed = subprocess.run(
-                [sys.executable, "-m", "repro", "resume", f"chaos-{name}"],
-                env=_cli_env(cache_dir, jobs=4),
-                cwd=REPO,
-                capture_output=True,
-            )
-            if resumed.returncode != 0:
+            kept = _objects(cache_dir)
+            if not 1 <= len(kept) < total:
                 failures.append(
-                    f"{name}: resume exited {resumed.returncode}: "
-                    f"{resumed.stderr.decode(errors='replace')[-300:]}"
+                    f"{name}: the killed run (exit {code}) left "
+                    f"{len(kept)} of {total} objects: it was not stopped "
+                    "mid-run"
                 )
-            elif resumed.stdout != baseline:
+                continue
+            # hard links pin the inodes: a deleted object's inode number
+            # cannot then be reused by the file that replaces it
+            pins = workdir / f"pins-{name}"
+            pins.mkdir()
+            for n, path in enumerate(kept):
+                os.link(path, pins / str(n))
+            rerun = _experiment(_cli_env(cache_dir, jobs=4))
+            replaced = [
+                path
+                for path, inode in kept.items()
+                if not path.exists() or path.stat().st_ino != inode
+            ]
+            if rerun.returncode != 0:
                 failures.append(
-                    f"{name}: resumed artifact differs from serial baseline "
+                    f"{name}: re-run exited {rerun.returncode}: "
+                    f"{rerun.stderr.decode(errors='replace')[-300:]}"
+                )
+            elif replaced:
+                failures.append(
+                    f"{name}: the re-run rewrote {len(replaced)} of the "
+                    f"{len(kept)} objects the killed run had stored"
+                )
+            elif rerun.stdout != baseline.stdout:
+                failures.append(
+                    f"{name}: re-run artifact differs from serial baseline "
                     f"(killed run exited {code})"
                 )
-            elif interrupted:
+            else:
                 print(
-                    f"chaos {name}: killed mid-run (exit {code}), resumed "
-                    f"byte-identical ({len(baseline)} artifact bytes)"
+                    f"chaos {name}: killed mid-run (exit {code}) with "
+                    f"{len(kept)} of {total} objects stored; the re-run "
+                    f"kept them and printed the baseline's "
+                    f"{len(baseline.stdout)} bytes"
                 )
     if failures:
         print("CHAOS FAILURE: " + "; ".join(failures))
         return 1
-    print("chaos OK: interrupt-and-resume artifacts byte-identical")
+    print("chaos OK: interrupt-and-re-run artifacts byte-identical")
     return 0
 
 
