@@ -36,10 +36,12 @@ user entry points.
 from __future__ import annotations
 
 import copy
+import operator
 import weakref
 from typing import Dict, Optional, Tuple, Union
 
 from .config import SystemConfig, default_config
+from .hardware import registry
 from .nn.graph import Graph
 from .nn.models import available_models, build_model
 from .obs.metrics import MetricsRegistry
@@ -86,16 +88,12 @@ def list_configurations(backend: str = DEFAULT_BACKEND) -> Tuple[str, ...]:
     ``backend`` (default: the paper's six named configurations)."""
     if backend == DEFAULT_BACKEND:
         return CONFIGURATIONS
-    from .hardware import registry
-
     return registry.get(backend).configurations
 
 
 def list_backends() -> Tuple[str, ...]:
     """Registered hardware-backend names (see
     :mod:`repro.hardware.registry`)."""
-    from .hardware import registry
-
     return registry.list_backends()
 
 
@@ -119,8 +117,6 @@ def resolve_configuration(
     :class:`~repro.errors.UnknownBackendError` for an unregistered
     ``backend`` name.
     """
-    from .hardware import registry
-
     be = registry.get(backend)
     if config_name is None:
         config_name = be.default_configuration
@@ -174,8 +170,6 @@ def _resolve_run(
     else:
         graph = cached_graph(model, batch_size)
     if config is None:
-        from .hardware import registry
-
         config = registry.get(backend).default_configuration
     system, policy = resolve_configuration(config, base, backend=backend)
     return graph, system, policy, config
@@ -343,7 +337,9 @@ def simulate(
 
     validation = None
     if observe or validate:
-        registry = observe if isinstance(observe, MetricsRegistry) else None
+        metrics_registry = (
+            observe if isinstance(observe, MetricsRegistry) else None
+        )
         fingerprint = sim_cache.run_fingerprint(
             graph, policy, system, steps, faults=faults
         )
@@ -362,7 +358,7 @@ def simulate(
             faults=faults,
             validate=validate,
             record_timeline=True,
-            observe=registry,
+            observe=metrics_registry,
         )
         if validate:
             validation = _validation_summary(result, prior)
@@ -381,7 +377,8 @@ def simulate(
         )
         timeline = None
     after = sim_cache.stats()
-    delta = {k: after[k] - before.get(k, 0) for k in after}
+    # both snapshots list the same counters in the same order
+    delta = dict(zip(after, map(operator.sub, after.values(), before.values())))
 
     return RunReport(
         result=result,

@@ -163,12 +163,14 @@ class Interrupted(ExecutionError):
 class CorruptObjectError(ReproError):
     """Raised when a stored artifact fails its integrity check.
 
-    Covers disk-cache objects, journal lines and stored serve reports:
-    the bytes on disk do not parse, or do not match their embedded
-    sha256 checksum.  Carries the offending ``path`` and a one-line
-    ``reason``.  Readers never serve the bytes: the cache quarantines
-    the object (a counted, recomputable miss) and ``repro cache fsck
-    --repair`` recomputes it from its embedded metadata.
+    Covers disk-cache objects and stored serve reports: the bytes on
+    disk do not parse, or do not match their embedded sha256 checksum
+    (a damaged serve journal line is dropped and counted instead, see
+    :meth:`repro.serve.journal.RunJournal.load`).  Carries the offending
+    ``path`` and a one-line ``reason``.  Readers never serve the bytes:
+    the cache quarantines the object (a counted, recomputable miss) and
+    ``repro cache fsck --repair`` recomputes it from its embedded
+    metadata.
     """
 
     def __init__(self, path, reason: str, fingerprint=None):
@@ -176,16 +178,6 @@ class CorruptObjectError(ReproError):
         self.path = str(path)
         self.reason = reason
         self.fingerprint = fingerprint
-
-
-class CorruptJournalError(ExecutionError):
-    """Raised by a strict journal load when an interior line is damaged.
-
-    The tolerant default loader merely *counts* damaged lines
-    (``RunJournal.corrupt_lines``) — a dropped ``done`` line only costs
-    serving one request again after a restart — while a strict load
-    surfaces mid-file corruption instead of skipping it.
-    """
 
 
 class ServeError(ReproError):

@@ -101,13 +101,17 @@ class EnergyBreakdown:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "EnergyBreakdown":
-        return cls(
-            dynamic_j=data["dynamic_j"],
-            static_j=data["static_j"],
-            memory_j=data["memory_j"],
-            makespan_s=data["makespan_s"],
-            by_device=dict(data.get("by_device") or {}),
-        )
+        # through ``__dict__``, as RunResult.from_dict: no frozen __init__
+        fields = {
+            "dynamic_j": data["dynamic_j"],
+            "static_j": data["static_j"],
+            "memory_j": data["memory_j"],
+            "makespan_s": data["makespan_s"],
+            "by_device": dict(data.get("by_device") or {}),
+        }
+        energy = object.__new__(cls)
+        object.__setattr__(energy, "__dict__", fields)
+        return energy
 
 
 class EnergyModel:

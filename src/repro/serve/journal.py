@@ -19,12 +19,11 @@ exactly this reason.
 Lines are also *verified*: every record carries a short per-line
 checksum (``sha``), and a cleanly completed journal ends with a ``seal``
 footer covering every byte before it — so **mid-file** damage (bit rot,
-a torn interior line) is detected, not silently skipped.  The default
-loader stays tolerant — it counts damage in
-:attr:`RunJournal.corrupt_lines` and drops the untrustworthy lines,
-because the worst case of a lost ``done`` line is one request served
-again after a restart — while ``strict=True`` raises
-:class:`~repro.errors.CorruptJournalError`.
+a torn interior line) is detected, not silently skipped.  The loader
+stays tolerant: it drops the untrustworthy lines and counts them in
+:attr:`RunJournal.corrupt_lines`, because the worst case of a lost
+``done`` line is one request served again after a restart.  ``repro
+cache fsck`` reports that count (see :mod:`repro.sim.fsck`).
 
 Journal writes never crash the daemon: persistent ``OSError`` flips the
 shared store into memory-only degraded mode (see
@@ -47,7 +46,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Set
 
 from ..chaos import injector as _chaos
-from ..errors import CorruptJournalError, ExecutionError
+from ..errors import ExecutionError
 from ..sim import cache as sim_cache
 
 #: Journal line-format version, recorded in the ``begin`` header.
@@ -150,14 +149,13 @@ class RunJournal:
         return journal
 
     @classmethod
-    def load(cls, run_id: str, strict: bool = False) -> "RunJournal":
+    def load(cls, run_id: str) -> "RunJournal":
         """Open an existing journal for inspection and/or appending.
 
         Tolerates a truncated final line (a kill mid-append).  Interior
         damage — an unparseable non-final line, or any line whose ``sha``
         checksum mismatches — is *dropped and counted* in
-        :attr:`corrupt_lines` by default, or raised as
-        :class:`~repro.errors.CorruptJournalError` with ``strict=True``.
+        :attr:`corrupt_lines`.
         Raises :class:`ExecutionError` when the journal does not exist or
         has no readable header.
         """
@@ -173,7 +171,6 @@ class RunJournal:
         raw_lines = raw.splitlines(keepends=True)
         lines: List[Dict] = []
         corrupt = 0
-        damage: List[str] = []
         sealed: Optional[bool] = None
         hasher = hashlib.sha256()
         written = 0  # lines physically on disk before the current one
@@ -191,18 +188,15 @@ class RunJournal:
                 if final and not raw_line.endswith(b"\n"):
                     break  # truncated tail from a mid-append kill
                 corrupt += 1
-                damage.append(f"line {index + 1}: not valid JSON")
                 written += 1
                 continue
             if not isinstance(record, dict):
                 corrupt += 1
-                damage.append(f"line {index + 1}: not a JSON object")
                 written += 1
                 continue
             recorded_sha = record.pop("sha", None)
             if recorded_sha is not None and recorded_sha != _line_sha(record):
                 corrupt += 1
-                damage.append(f"line {index + 1}: checksum mismatch")
                 written += 1
                 continue
             if record.get("event") == "seal":
@@ -212,7 +206,6 @@ class RunJournal:
                 )
                 if not sealed:
                     corrupt += 1
-                    damage.append(f"line {index + 1}: broken seal")
                 written += 1
                 continue
             written += 1
@@ -220,11 +213,6 @@ class RunJournal:
         if not lines or lines[0].get("event") != "begin":
             raise ExecutionError(
                 f"journal {run_id!r} has no readable begin header"
-            )
-        if strict and damage:
-            raise CorruptJournalError(
-                f"journal {run_id!r} has {corrupt} damaged line(s): "
-                + "; ".join(damage)
             )
         journal = cls(run_id, lines)
         journal.corrupt_lines = corrupt

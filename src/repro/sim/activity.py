@@ -54,11 +54,15 @@ class TimeBreakdown:
 
     @classmethod
     def from_dict(cls, data: Dict[str, float]) -> "TimeBreakdown":
-        return cls(
-            operation_s=data["operation_s"],
-            data_movement_s=data["data_movement_s"],
-            sync_s=data["sync_s"],
-        )
+        # through ``__dict__``, as RunResult.from_dict: no frozen __init__
+        fields = {
+            "operation_s": data["operation_s"],
+            "data_movement_s": data["data_movement_s"],
+            "sync_s": data["sync_s"],
+        }
+        breakdown = object.__new__(cls)
+        object.__setattr__(breakdown, "__dict__", fields)
+        return breakdown
 
 
 class ActivityTracker:

@@ -182,8 +182,8 @@ def _reprobe_interval() -> float:
 
 def degraded() -> bool:
     """True while the store is in memory-only degraded mode."""
-    with _degraded_lock:
-        return _degraded["active"]
+    # one dict read is atomic; the lock guards the multi-field updates
+    return _degraded["active"]
 
 
 def writes_suppressed() -> bool:
@@ -255,7 +255,13 @@ def _reset_degraded() -> None:
 #: footprints can be broken down per namespace.  Entries referenced by
 #: several tenants are *shared*: :func:`tenant_disk_usage` reports their
 #: bytes once in the combined total, never once per tenant.
-_tenant_local = threading.local()
+class _TenantLocal(threading.local):
+    #: a class default, so that reading it outside any scope raises no
+    #: AttributeError for ``getattr`` to swallow (every cache lookup reads it)
+    name: Optional[str] = None
+
+
+_tenant_local = _TenantLocal()
 
 _tenant_stats: Dict[str, Dict[str, int]] = {}
 
@@ -268,7 +274,7 @@ _tenant_lock = threading.Lock()
 @contextmanager
 def tenant_scope(tenant: Optional[str]):
     """Attribute cache traffic in the block to ``tenant`` (thread-local)."""
-    previous = getattr(_tenant_local, "name", None)
+    previous = _tenant_local.name
     _tenant_local.name = tenant
     try:
         yield
@@ -277,7 +283,7 @@ def tenant_scope(tenant: Optional[str]):
 
 
 def current_tenant() -> Optional[str]:
-    return getattr(_tenant_local, "name", None)
+    return _tenant_local.name
 
 
 def _tenants_dir() -> Path:
@@ -291,7 +297,7 @@ def _valid_tenant(tenant: str) -> bool:
 def _note_tenant(counter: str, fingerprint: Optional[str] = None) -> None:
     """Charge one event (and optionally one touched fingerprint) to the
     current tenant scope; a no-op outside any scope."""
-    tenant = current_tenant()
+    tenant = _tenant_local.name
     if tenant is None or not _valid_tenant(tenant):
         return
     with _tenant_lock:
@@ -546,20 +552,37 @@ def run_fingerprint(
     )
     # the same string as encoding (CACHE_SCHEMA, signature), the config,
     # then (effective_steps, faults), with each part taken from its memo
-    parts = [
-        _policy_encoding(policy.signature()),
-        config_signature(config),
-        "seq2[",
-    ]
-    _encode(effective_steps, parts)
-    if faults is None:
-        _encode(None, parts)
-    else:
-        parts.append(_encoded_by_id(faults, _faults_sig_cache))
-    parts.append("]")
-    digest = _graph_signature_hash(graph).copy()
-    digest.update("".join(parts).encode())
-    return digest.hexdigest()
+    policy_part = _policy_encoding(policy.signature())
+    config_part = config_signature(config)
+    faults_part = (
+        None if faults is None else _encoded_by_id(faults, _faults_sig_cache)
+    )
+    # The memoized parts cache their string hashes, so a repeated run finds
+    # its digest in one lookup.  The step count's type joins the key: 3,
+    # 3.0 and True are equal keys that encode differently.
+    key = (
+        policy_part,
+        config_part,
+        type(effective_steps),
+        effective_steps,
+        faults_part,
+    )
+    digests = graph.memo.get("fingerprints")
+    if digests is None:
+        digests = graph.memo["fingerprints"] = {}
+    digest = digests.get(key)
+    if digest is None:
+        parts = [policy_part, config_part, "seq2["]
+        _encode(effective_steps, parts)
+        if faults_part is None:
+            _encode(None, parts)
+        else:
+            parts.append(faults_part)
+        parts.append("]")
+        state = _graph_signature_hash(graph).copy()
+        state.update("".join(parts).encode())
+        digest = digests[key] = state.hexdigest()
+    return digest
 
 
 # ---------------------------------------------------------------------------
@@ -689,6 +712,25 @@ def _load_object(data: bytes, path, fingerprint: Optional[str]) -> RunResult:
         )
 
 
+def _read_file(path: str) -> bytes:
+    """The bytes of the file at ``path``, read unbuffered in one call
+    sized by ``fstat`` (no file object: a warm hit reads one small file)."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        size = os.fstat(fd).st_size
+        data = os.read(fd, size)
+        # read on after a short read (a signal, a network filesystem): a
+        # truncated read would fail the digest and quarantine a good file
+        while len(data) < size:
+            more = os.read(fd, size - len(data))
+            if not more:
+                break
+            data += more
+    finally:
+        os.close(fd)
+    return data
+
+
 def read_object(path: Path, fingerprint: Optional[str] = None) -> RunResult:
     """Strict loader (fsck, tools): raises :class:`CorruptObjectError`."""
     try:
@@ -771,8 +813,7 @@ def get(fingerprint: str) -> Optional[RunResult]:
     if disk_enabled():
         path = _object_file(fingerprint)
         try:
-            with open(path, "rb") as fh:
-                data = fh.read()
+            data = _read_file(path)
         except OSError:
             _stats["misses_absent"] += 1
         else:
@@ -953,7 +994,7 @@ def stats() -> Dict[str, int]:
     ``degraded`` reflects the live memory-only flag (0/1), not a count.
     """
     snapshot = dict(_stats)
-    snapshot["degraded"] = 1 if degraded() else 0
+    snapshot["degraded"] = 1 if _degraded["active"] else 0
     return snapshot
 
 

@@ -14,11 +14,12 @@ durable tiers:
   a repair can never install the wrong result under a fingerprint.  Deterministic
   simulation makes the recomputed artifact byte-identical, which
   ``tools/check_chaos.py`` asserts in CI.
-* **serve journals** (``journal/``) — loaded with per-line checksum and
-  seal verification.  Interior damage is *reported* (the tolerant loader
-  already drops such lines; the worst case is one request served again
-  after a restart); journals without a readable header are quarantined
-  under ``--repair``.
+* **serve journals** (``journal/``) — loaded by
+  :meth:`~repro.serve.journal.RunJournal.load`, which checks each line's
+  checksum and the seal, drops damaged lines and counts them; the audit
+  reports that count as ``corrupt_lines`` (the worst case of a dropped
+  line is one request served again after a restart).  Journals without
+  a readable header are quarantined under ``--repair``.
 * **serve reports** (``serve/reports/v2/``) — framed like cache
   objects, with the request as ``meta``, and checked the same way;
   reports of other namespaces are counted ``legacy`` and left alone.

@@ -54,6 +54,14 @@ class SchedulingPolicy(abc.ABC):
     def prepare(self, graph: Graph, config: SystemConfig) -> None:
         """Hook run once before simulation (profiling, selection)."""
 
+    def __copy__(self) -> "SchedulingPolicy":
+        # a shallow copy of the attributes, without the generic
+        # ``__reduce_ex__`` round trip: every api call copies its memoized
+        # policy (see ``repro.api.resolve_configuration``)
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        return clone
+
     @abc.abstractmethod
     def placements(self, op: Op) -> Tuple[str, ...]:
         """Preference-ordered placements for ``op`` (non-empty)."""

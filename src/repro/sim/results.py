@@ -166,29 +166,35 @@ class RunResult:
         hist = data.get("bank_occupancy_hist_s")
         metrics = data.get("metrics")
         if metrics is not None:
-            metrics = {
-                k: tuple(v) if isinstance(v, list) else v
-                for k, v in metrics.items()
-            }
-        return cls(
-            config_name=data["config_name"],
-            model_name=data["model_name"],
-            steps=data["steps"],
-            makespan_s=data["makespan_s"],
-            step_time_s=data["step_time_s"],
-            breakdown=TimeBreakdown.from_dict(data["breakdown"]),
-            usage=DeviceUsage.from_dict(data["usage"]),
-            energy=EnergyBreakdown.from_dict(data["energy"]),
-            fixed_pim_utilization=data["fixed_pim_utilization"],
-            events_processed=data["events_processed"],
-            per_model_step_time_s=data.get("per_model_step_time_s"),
-            device_busy_fraction=data.get("device_busy_fraction"),
-            bank_occupancy_hist_s=tuple(hist) if hist is not None else None,
-            queue_wait_s=data.get("queue_wait_s"),
-            selection=data.get("selection"),
-            metrics=metrics,
-            faults=data.get("faults"),
-        )
+            metrics = dict(metrics)
+            for key, value in metrics.items():
+                if isinstance(value, list):
+                    metrics[key] = tuple(value)
+        # Filled through ``__dict__``: the frozen ``__init__`` would pay
+        # one ``object.__setattr__`` per field on every warm cache hit.
+        # The instance is as frozen as any other.
+        fields = {
+            "config_name": data["config_name"],
+            "model_name": data["model_name"],
+            "steps": data["steps"],
+            "makespan_s": data["makespan_s"],
+            "step_time_s": data["step_time_s"],
+            "breakdown": TimeBreakdown.from_dict(data["breakdown"]),
+            "usage": DeviceUsage.from_dict(data["usage"]),
+            "energy": EnergyBreakdown.from_dict(data["energy"]),
+            "fixed_pim_utilization": data["fixed_pim_utilization"],
+            "events_processed": data["events_processed"],
+            "per_model_step_time_s": data.get("per_model_step_time_s"),
+            "device_busy_fraction": data.get("device_busy_fraction"),
+            "bank_occupancy_hist_s": tuple(hist) if hist is not None else None,
+            "queue_wait_s": data.get("queue_wait_s"),
+            "selection": data.get("selection"),
+            "metrics": metrics,
+            "faults": data.get("faults"),
+        }
+        result = object.__new__(cls)
+        object.__setattr__(result, "__dict__", fields)
+        return result
 
     def to_json(self, indent: Optional[int] = None) -> str:
         return canonical_dumps(self.to_dict(), indent=indent)

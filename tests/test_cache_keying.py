@@ -8,6 +8,8 @@ configuration's numbers for another.
 
 import enum
 import hashlib
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
@@ -164,9 +166,10 @@ class TestRunFingerprint:
 
         seen = set()
         # 1, 1.0 and True are equal as tuple items but encode apart, and
-        # an IntEnum member is equal to 1 as well
+        # an IntEnum member is equal to 1 as well; so are the step counts
+        # 2 and 2.0 (each graph memoizes its digests by these parts)
         for flag in (1, 1.0, True, 1, "1", _Flag.ONE, _Flag.ONE):
-            for steps in (None, 2):
+            for steps in (None, 2, 2.0, 2):
                 for seed in (None, 1, 1):
                     faults = (
                         None
@@ -181,7 +184,7 @@ class TestRunFingerprint:
                     )
                     assert fp == reference(policy, steps, faults)
                     seen.add(fp)
-        assert len(seen) == 5 * 2 * 2
+        assert len(seen) == 5 * 3 * 2
 
     @pytest.mark.parametrize(
         "knob, value", [("cpu_slots", 4), ("pipeline_depth", 3)]
@@ -200,6 +203,54 @@ class TestRunFingerprint:
         policy.prepare(graph, config)
         assert getattr(policy, knob) == value
         assert sim_cache.run_fingerprint(graph, policy, config) == before
+
+
+    def test_concurrent_fingerprints_agree(self):
+        """The serve daemon fingerprints on worker threads: racing
+        threads filling one graph's digest memo must each get the digest
+        a lone caller gets."""
+        config, policy = build_configuration("hetero-pim")
+        alone = build_model("alexnet")
+        expected = {
+            steps: sim_cache.run_fingerprint(alone, policy, config, steps)
+            for steps in range(1, 9)
+        }
+        shared = build_model("alexnet")
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = {
+                    pool.submit(
+                        sim_cache.run_fingerprint, shared, policy, config, steps
+                    ): steps
+                    for _ in range(25)
+                    for steps in expected
+                }
+                for future, steps in futures.items():
+                    assert future.result(timeout=60) == expected[steps]
+        finally:
+            sys.setswitchinterval(previous)
+
+    def test_prepare_leaves_the_memoized_policy_unchanged(self):
+        """resolve_configuration hands out copies of one memoized policy:
+        prepare() on a copy (it sets cpu_slots and the selection from
+        the config and graph it is given) must not reach the memo."""
+        policy = api.resolve_configuration("hetero-pim")[1]
+        memoized = api._resolved_config_cache[
+            (api.DEFAULT_BACKEND, "hetero-pim", None)
+        ][1]
+        assert policy is not memoized
+        signature = memoized.signature()
+        state = dict(vars(memoized))
+        base = default_config()
+        slots = base.runtime.cpu_slots + 3
+        other = replace(base, runtime=replace(base.runtime, cpu_slots=slots))
+        policy.prepare(build_model("alexnet"), other)
+        assert policy.cpu_slots == slots and policy.selection is not None
+        assert memoized.signature() == signature
+        assert vars(memoized) == state
+        assert api.resolve_configuration("hetero-pim")[1].signature() == signature
 
 
 class TestNoCrossRunLeakage:

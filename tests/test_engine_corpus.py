@@ -27,6 +27,7 @@ fault spec with no events leaves every result field but the fault log
 unchanged) and that recording a timeline never changes a faulted result.
 """
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -265,7 +266,8 @@ def test_pinned_digest(corpus, key):
 @pytest.mark.parametrize("key", list(ENTRIES))
 def test_stored_form_round_trip(key, tmp_path, monkeypatch):
     """The disk tier's stored form gives back what the artifacts' JSON
-    does: the same bytes and an equal result."""
+    does: the same bytes and an equal result, as frozen as a fresh one
+    (decoding fills the frozen records without their ``__init__``)."""
     fresh = _result(key)
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.delenv("REPRO_CACHE", raising=False)
@@ -277,6 +279,14 @@ def test_stored_form_round_trip(key, tmp_path, monkeypatch):
     assert stored is not None and stored is not fresh
     assert stored.to_json() == fresh.to_json()
     assert stored == RunResult.from_json(fresh.to_json())
+    for record, field in (
+        (stored, "makespan_s"),
+        (stored.breakdown, "sync_s"),
+        (stored.energy, "dynamic_j"),
+    ):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, -1.0)
+    assert stored == fresh
 
 
 @st.composite

@@ -281,8 +281,8 @@ class TestJournal:
         assert loaded.corrupt_lines == 1
         assert not loaded.is_complete()
 
-    def test_strict_load_raises_on_damage(self):
-        from repro.errors import CorruptJournalError
+    def test_fsck_counts_dropped_journal_lines(self):
+        from repro.sim.fsck import clean, fsck
 
         journal = RunJournal.create("serve", {})
         journal.record_job("aaa", "done")
@@ -290,12 +290,17 @@ class TestJournal:
         path = journal_dir() / f"{journal.run_id}.jsonl"
         header, job = path.read_bytes().splitlines(keepends=True)
         path.write_bytes(header + b"not json\n" + job)
-        with pytest.raises(CorruptJournalError, match="not valid JSON"):
-            RunJournal.load(journal.run_id, strict=True)
-        # the tolerant default still loads the surviving lines
-        assert RunJournal.load(
-            journal.run_id
-        ).completed_fingerprints() == {"aaa"}
+        # the load drops the damaged line and keeps the rest ...
+        loaded = RunJournal.load(journal.run_id)
+        assert loaded.completed_fingerprints() == {"aaa"}
+        assert loaded.corrupt_lines == 1
+        # ... and the audit reports the dropped line without failing
+        report = fsck()
+        journals = report["journals"]
+        assert journals["scanned"] == 1
+        assert journals["damaged"] == 1
+        assert journals["corrupt_lines"] == 1
+        assert clean(report)
 
     def test_missing_and_invalid_ids_rejected(self):
         with pytest.raises(ExecutionError, match="no journal"):
@@ -495,32 +500,62 @@ class TestInterruptAndResume:
         env["PYTHONPATH"] = str(REPO / "src")
         env["REPRO_CACHE_DIR"] = str(chaos_cache)
         env["REPRO_JOBS"] = "2"
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "experiment", "faults"],
-            env=env,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
+        # the second store (the first is the clean baseline) sleeps 3 s:
+        # the signal below lands inside it, in the supervised batch
+        env["REPRO_CHAOS"] = (
+            '{"seed":0,"rules":[{"site":"cache.object_write",'
+            '"kind":"slow_io","at":[1],"delay_s":3.0}]}'
         )
+        stderr_path = tmp_path / "killed.stderr"
+        with open(stderr_path, "wb") as stderr:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro", "experiment", "faults"],
+                env=env,
+                stdout=subprocess.DEVNULL,
+                stderr=stderr,
+                start_new_session=True,
+            )
         objects = chaos_cache / "objects"
         deadline = time.time() + 120
-        while time.time() < deadline and proc.poll() is None:
-            if objects.is_dir() and any(objects.rglob("*.json")):
-                proc.send_signal(signal.SIGINT)
-                break
-            time.sleep(0.05)
-        proc.communicate(timeout=120)
-        # Either we caught it mid-run (130) or it beat us to the finish
-        # (0).  A raw -SIGINT death is a bug: main() turns a signal
-        # between batches into exit 130, the supervisor turns one inside
-        # a batch into Interrupted, and main() shields interpreter
-        # teardown with SIG_IGN once the exit code is decided.
-        assert proc.returncode in (130, 0)
+        try:
+            while time.time() < deadline and proc.poll() is None:
+                # the first batch (one job) runs in-process; pool workers
+                # mean the second batch, whose first store is held, runs
+                if (
+                    objects.is_dir()
+                    and any(objects.rglob("*.json"))
+                    and self._children(proc.pid)
+                ):
+                    time.sleep(0.5)
+                    proc.send_signal(signal.SIGINT)
+                    break
+                time.sleep(0.05)
+            proc.wait(timeout=120)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        # the supervisor turned the signal into Interrupted; a signal
+        # between batches would exit 130 with a bare "interrupted"
+        assert proc.returncode == 130
+        assert "interrupted — completed jobs are cached" in (
+            stderr_path.read_text()
+        )
 
         rerun = self._run_cli(["experiment", "faults"], chaos_cache, jobs=2)
         assert rerun.returncode == 0, rerun.stderr
         assert rerun.stdout == baseline.stdout
         assert not (chaos_cache / "journal").exists()
+
+    @staticmethod
+    def _children(pid):
+        listing = subprocess.run(
+            ["ps", "-o", "pid=", "--ppid", str(pid)],
+            capture_output=True,
+            text=True,
+        ).stdout
+        return listing.split()
 
 
 class TestFriendlyCliErrors:

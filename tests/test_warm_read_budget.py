@@ -2,14 +2,16 @@
 
 A warm ``repro.api.simulate`` disk hit should cost little more than
 reading and decoding its stored object: the configuration resolves from
-the api's memo and the fingerprint from its per-part memos.  Each case
-stores one run, drops the memory tier and counts the Python calls
+the api's memo and the fingerprint from the graph's memo.  Each disk
+case stores one run, drops the memory tier and counts the Python calls
 (``call`` events under :func:`sys.setprofile`) of one more
 ``api.simulate`` of the same request.  Every disk read checks its
 object's checksum in :func:`repro.sim.cache.unframe` (the check stored
-serve reports share), so the count includes that check.  Each budget is
-the count measured when it was recorded plus 10%; Python 3.12 and later
-inline comprehensions, which only lowers it.
+serve reports share), so the count includes that check.  The memory
+case serves the same request from the memory tier, where every call is
+front-door overhead.  Each budget is the count measured when it was
+recorded plus 10%; Python 3.12 and later inline comprehensions, which
+only lowers it.
 
 Two exact checks ride along: such a read builds no ``SystemConfig`` and
 does not encode the ``FaultSpec`` again.
@@ -26,15 +28,18 @@ from repro.sim import cache as sim_cache
 
 STEPS = 1
 
-#: case -> (model, configuration, fault seed or None, budget in Python
-#: calls per warm read: 59 for both, measured on Python 3.11, plus 10%;
-#: with the digest check in its own function the counts are 60, with a
-#: JSON payload they were 69, and before the memos 149 and 193).
+#: case -> (model, configuration, fault seed or None, tier read, budget
+#: in Python calls per warm read).  Measured on Python 3.11: 45 (zoo) and
+#: 46 (faulted) calls per disk hit, 27 per memory hit, each budget that
+#: plus 10%.  With the policy copied through ``__reduce_ex__``, results
+#: built by their frozen ``__init__`` and no digest memo the counts were
+#: 60, 60 and 39; with a JSON payload 69, and before the memos 149 and 193.
 #: prog-pim derives its config from the default one, so a build there
 #: would construct a ``SystemConfig``.
 CASES = {
-    "zoo": ("lstm", "prog-pim", None, 65),
-    "faulted": ("lstm", "hetero-pim", 5, 65),
+    "zoo": ("lstm", "prog-pim", None, "disk", 50),
+    "faulted": ("lstm", "hetero-pim", 5, "disk", 51),
+    "memory": ("lstm", "prog-pim", None, "memory", 30),
 }
 
 
@@ -49,7 +54,7 @@ def isolated_store(tmp_path, monkeypatch):
 
 def _stored_request(case):
     """(model, configuration, faults) of ``case``, stored on disk."""
-    model, config, seed, _budget = CASES[case]
+    model, config, seed, _tier, _budget = CASES[case]
     faults = None
     if seed is not None:
         clean = api.simulate(model, config, STEPS)
@@ -60,16 +65,18 @@ def _stored_request(case):
     return model, config, faults
 
 
-def _warm_read(model, config, faults):
-    sim_cache._memory.clear()
-    hits = sim_cache.stats()["disk_hits"]
+def _warm_read(model, config, faults, tier="disk"):
+    if tier == "disk":
+        sim_cache._memory.clear()
+    hits = sim_cache.stats()[f"{tier}_hits"]
     api.simulate(model, config, STEPS, faults=faults)
-    assert sim_cache.stats()["disk_hits"] == hits + 1
+    assert sim_cache.stats()[f"{tier}_hits"] == hits + 1
 
 
 def warm_read_calls(case):
-    """Python calls made by one warm disk hit of ``case``."""
+    """Python calls made by one warm hit of ``case``."""
     request = _stored_request(case)
+    tier = CASES[case][3]
     _warm_read(*request)
     calls = 0
 
@@ -78,11 +85,12 @@ def warm_read_calls(case):
         if event == "call":
             calls += 1
 
-    sim_cache._memory.clear()
+    if tier == "disk":
+        sim_cache._memory.clear()
     previous = sys.getprofile()
     sys.setprofile(count)
     try:
-        _warm_read(*request)
+        _warm_read(*request, tier)
     finally:
         sys.setprofile(previous)
     return calls
@@ -91,13 +99,15 @@ def warm_read_calls(case):
 @pytest.mark.parametrize("case", list(CASES))
 def test_warm_read_calls_within_budget(case):
     measured = warm_read_calls(case)
-    budget = CASES[case][3]
+    budget = CASES[case][4]
     assert measured <= budget, (
         f"{case}: {measured} Python calls per warm read, budget {budget}"
     )
 
 
-@pytest.mark.parametrize("case", list(CASES))
+@pytest.mark.parametrize(
+    "case", [case for case in CASES if CASES[case][3] == "disk"]
+)
 def test_warm_read_builds_no_config_and_encodes_no_fault_spec(
     case, monkeypatch
 ):

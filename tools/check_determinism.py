@@ -14,19 +14,26 @@ serial/parallel execution or cold/warm cache is a correctness bug in the
 result cache, the runner, or the simulator's determinism, and fails CI.
 
 ``--chaos`` runs the crash-safety gate instead: ``repro experiment
-faults`` under ``REPRO_JOBS=4`` is killed mid-run (once gracefully with
-SIGINT, once hard with SIGKILL) as soon as its first result object is
-on disk, then the same command is run again — and the re-run's artifact
-must be byte-identical to an uninterrupted serial baseline.  The
-experiment's jobs finish within milliseconds of each other, so the
-killed run holds its second object write back (:data:`CHAOS_HOLD`) to
-keep the run unfinished when the signal lands.  The gate fails unless
-the killed run left at least one but not all of the baseline's objects
-on disk, and unless the re-run kept every one of them: a re-simulated
-point is written through ``os.replace``, which gives its file a new
-inode (the gate hard-links the kept objects first, so no inode number
-is freed for reuse).  Each killed run has its own process group, which the gate
-SIGKILLs afterwards; it fails if any process of that group still runs.
+faults`` under ``REPRO_JOBS=2`` is killed mid-run (once gracefully with
+SIGINT, once hard with SIGKILL), then the same command is run again
+under ``REPRO_JOBS=4`` — and the re-run's artifact must be
+byte-identical to an uninterrupted serial baseline.  The experiment's
+jobs finish within milliseconds of each other, so the killed run holds
+its second object write back (:data:`CHAOS_HOLD`), and the signal is
+sent during that hold: once the first object is on disk and the pool
+of the second batch is running, plus :data:`CHAOS_SETTLE_S`.  A SIGINT
+there reaches the batch supervisor, so the killed run must exit 130
+with the ``Interrupted`` message (a signal between batches exits 130
+too, but only with "interrupted").  The supervisor stores the results
+already back before it stops; two workers keep at most two of them in
+flight, so the interrupted run can not finish the batch.  The gate
+fails unless the killed run left at least one but not all of the
+baseline's objects on disk, and unless the re-run kept every one of
+them: a re-simulated point is written through ``os.replace``, which
+gives its file a new inode (the gate hard-links the kept objects first,
+so no inode number is freed for reuse).  Each killed run has its own
+process group, which the gate SIGKILLs afterwards; it fails if any
+process of that group still runs.
 ``--all`` runs both gates.
 
 ``--validate`` runs every mode under the invariant checker
@@ -148,11 +155,20 @@ CHAOS_EXPERIMENT = "faults"
 #: ``REPRO_CHAOS`` spec of the killed run: the parent's second result
 #: store sleeps 3 s before it writes (the first store is the experiment's
 #: clean baseline).  Without it the whole run takes about 0.2 s and the
-#: trigger (an object on disk) often fires only once the run is done.
+#: signal often lands only once the run is done.
 CHAOS_HOLD = (
     '{"seed":0,"rules":[{"site":"cache.object_write","kind":"slow_io",'
     '"at":[1],"delay_s":3.0}]}'
 )
+
+#: Seconds between the second batch's pool starting and the signal.  The
+#: first worker result reaches the held store within milliseconds, so the
+#: signal lands well inside the 3 s hold.
+CHAOS_SETTLE_S = 0.5
+
+#: What ``repro experiment`` prints to stderr when a signal stops a
+#: supervised batch (``repro.errors.Interrupted``).
+INTERRUPTED_MESSAGE = "interrupted — completed jobs are cached"
 
 
 def _cli_env(cache_dir: Path, jobs: int) -> dict:
@@ -202,24 +218,30 @@ def _running_in_group(pgid: int) -> list:
     ]
 
 
-def _kill_midrun(cache_dir: Path, sig: signal.Signals) -> tuple:
+def _kill_midrun(cache_dir: Path, sig: signal.Signals, stderr: Path) -> tuple:
     """Start the chaos experiment in its own process group, send ``sig``
-    once its first result object is on disk, then SIGKILL whatever is
-    left of the group: a SIGKILLed run leaves its pool workers behind.
-    Return the exit code and the processes still running after that."""
-    env = _cli_env(cache_dir, jobs=4)
+    during its held second store, then SIGKILL whatever is left of the
+    group: a SIGKILLed run leaves its pool workers behind.  The run's
+    stderr goes to the file ``stderr`` (a pipe would stay open in those
+    workers).  Return the exit code and the processes still running
+    after that."""
+    env = _cli_env(cache_dir, jobs=2)
     env["REPRO_CHAOS"] = CHAOS_HOLD
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "experiment", CHAOS_EXPERIMENT],
-        env=env,
-        cwd=REPO,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-        start_new_session=True,
-    )
+    with open(stderr, "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "experiment", CHAOS_EXPERIMENT],
+            env=env,
+            cwd=REPO,
+            stdout=subprocess.DEVNULL,
+            stderr=err,
+            start_new_session=True,
+        )
     deadline = time.time() + 300
     while time.time() < deadline and proc.poll() is None:
-        if _objects(cache_dir):
+        # the first batch is one job, run in-process: a second process
+        # in the group is the pool of the batch whose first store is held
+        if _objects(cache_dir) and len(_running_in_group(proc.pid)) > 1:
+            time.sleep(CHAOS_SETTLE_S)
             proc.send_signal(sig)
             break
         time.sleep(0.05)
@@ -254,7 +276,16 @@ def check_chaos() -> int:
         )
         for name, sig in scenarios:
             cache_dir = workdir / f"cache-{name}"
-            code, survivors = _kill_midrun(cache_dir, sig)
+            stderr = workdir / f"stderr-{name}"
+            code, survivors = _kill_midrun(cache_dir, sig, stderr)
+            if sig == signal.SIGINT:
+                printed = stderr.read_text(errors="replace")
+                if code != 130 or INTERRUPTED_MESSAGE not in printed:
+                    failures.append(
+                        f"{name}: the killed run exited {code} without "
+                        f"the Interrupted message, so the signal missed "
+                        f"the batch supervisor: {printed[-300:]!r}"
+                    )
             if survivors:
                 failures.append(
                     f"{name}: {len(survivors)} process(es) of the killed "
